@@ -40,12 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--json", action="store_true", help="emit a machine-readable report"
     )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed reserved for randomized reporting",
-    )
 
     parser = argparse.ArgumentParser(
         prog="cliffideals",

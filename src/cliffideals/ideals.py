@@ -7,11 +7,12 @@ zero against the basis for every generator g and basis vector v.  With
 that representation, membership, equality, sums, products and
 intersections are all exact rational linear algebra.
 
-Closures are computed in a single pass over blade pairs: the products
-e_a * g * e_b over all basis blades e_a, e_b already span the smallest
-two-sided ideal containing g, because the blades span the algebra
-multiplicatively.  The brute-force fixpoint in the oracle module
-double-checks this independently.
+Closures are computed by generator saturation: every vector that
+enlarges the span is multiplied once by each algebra generator on the
+left and on the right, and the images go back into the echelon.  The
+generators generate the algebra, so the saturated span is the smallest
+two-sided ideal containing the input.  The oracle module re-derives
+closures independently, by its own fixpoint and by a blade-pair sweep.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .blades import Signature, blade_mul
-from .linalg import Echelon, intersect_spans, vec_sub_scaled
+from .linalg import Echelon, intersect_spans, reduce_against
 from .multivector import Multivector, SignatureMismatchError
 from .structure import SelfCheckError, central_idempotents, is_split_signature
 
@@ -66,13 +67,7 @@ class Ideal:
         """True iff u reduces to zero against the echelon basis."""
         if u.sig != self.sig:
             raise SignatureMismatchError(f"signature mismatch: {u.sig} vs {self.sig}")
-        out = dict(u.terms)
-        rows = self._pivot_rows
-        for k in [k for k in out if k in rows]:
-            c = out.get(k)
-            if c:
-                vec_sub_scaled(out, rows[k], c)
-        return not out
+        return not reduce_against(u.terms, self._pivot_rows)
 
     def contains_ideal(self, other: "Ideal") -> bool:
         if other.sig != self.sig:
@@ -142,38 +137,23 @@ def _certify_closed(sig: Signature, ech: Echelon, context: str) -> None:
                     )
 
 
-def _span_blade_sandwich(sig: Signature, ech: Echelon, terms: dict) -> None:
-    """One pass adding span{e_a * g * e_b} over all blade pairs to ech."""
-    dim = sig.dim
-    nullmask = sig.null_mask
-    if not terms:
+def _saturate(sig: Signature, ech: Echelon, terms: dict) -> None:
+    """Add the two-sided ideal generated by `terms` to a closed span.
+
+    Each vector that raises the rank is queued once; its images under
+    every generator, on both sides, are then inserted in turn.  Stops
+    early once the span is the whole algebra.
+    """
+    if not ech.add(terms):
         return
-    if len(terms) == 1:
-        # single-blade generator: each product is +-(one blade), so only
-        # the resulting mask matters for the span
-        (gmask,) = terms
-        add_unit = ech.add_unit
-        for a in range(dim):
-            if a & gmask & nullmask:
-                continue
-            ag = a ^ gmask
-            blockers = ag & nullmask
-            for b in range(dim):
-                if not b & blockers:
-                    add_unit(ag ^ b)
-            if ech.rank == dim:
-                return
-        return
-    for a in range(dim):
-        left_img = _blade_image(sig, a, terms, left=True)
-        if not left_img:
-            continue
-        for b in range(dim):
-            cand = _blade_image(sig, b, left_img, left=False)
-            if cand:
-                ech.add(cand)
-        if ech.rank == dim:
-            return
+    worklist = [terms]
+    while worklist and ech.rank < sig.dim:
+        vec = worklist.pop()
+        for i in range(sig.n):
+            for left in (True, False):
+                image = _blade_image(sig, 1 << i, vec, left)
+                if image and ech.add(image):
+                    worklist.append(image)
 
 
 # -- construction ------------------------------------------------------
@@ -187,9 +167,7 @@ def ideal_closure(sig: Signature, gens) -> Ideal:
         if g.sig != sig:
             raise SignatureMismatchError(f"generator signature {g.sig} != {sig}")
     for g in gens:
-        _span_blade_sandwich(sig, ech, g.terms)
-        if ech.rank == sig.dim:
-            break
+        _saturate(sig, ech, g.terms)
     _certify_closed(sig, ech, "ideal_closure")
     return Ideal(sig, _basis_from_echelon(sig, ech), closed=True)
 
@@ -474,7 +452,7 @@ def finite_generating_witness(ideal: Ideal) -> list[Multivector]:
     for v in ideal.basis:
         if not ech.contains(v.terms):
             kept.append(v)
-            _span_blade_sandwich(sig, ech, v.terms)
+            _saturate(sig, ech, v.terms)
     i = 0
     while i < len(kept):
         rest = kept[:i] + kept[i + 1 :]

@@ -30,6 +30,25 @@ def vec_sub_scaled(v: Vec, row: Vec, c: Fraction) -> None:
             v.pop(k, None)
 
 
+def reduce_against(v: Vec, rows: dict) -> Vec:
+    """Fully reduce a copy of v against RREF rows keyed by their pivots.
+
+    RREF rows are zero in every other pivot coordinate, so one pass
+    over the pivot coordinates initially present in v suffices.  A unit
+    row (its pivot alone) just clears its coordinate.
+    """
+    out = dict(v)
+    for k in [k for k in out if k in rows]:
+        c = out.get(k)
+        if c:
+            row = rows[k]
+            if len(row) == 1:
+                del out[k]
+            else:
+                vec_sub_scaled(out, row, c)
+    return out
+
+
 class Echelon:
     """A growing RREF basis of a subspace."""
 
@@ -48,17 +67,8 @@ class Echelon:
         return sorted(self._rows)
 
     def reduce(self, v: Vec) -> Vec:
-        """Fully reduce a copy of v against the basis.
-
-        RREF rows are zero in every other pivot coordinate, so one pass
-        over the pivot coordinates initially present in v suffices.
-        """
-        out = dict(v)
-        for k in [k for k in out if k in self._rows]:
-            c = out.get(k)
-            if c:
-                vec_sub_scaled(out, self._rows[k], c)
-        return out
+        """Fully reduce a copy of v against the basis."""
+        return reduce_against(v, self._rows)
 
     def contains(self, v: Vec) -> bool:
         return not self.reduce(v)
@@ -80,19 +90,12 @@ class Echelon:
         return True
 
     def add_unit(self, key) -> bool:
-        """Insert a unit coordinate vector (common fast path).
+        """Insert the unit coordinate vector at key.
 
-        Skipping is only sound when the pivot row is itself the unit
-        vector; a row with a tail does not span the unit coordinate.
+        The library no longer calls this; perfbench/tracer.py traces it
+        by name.
         """
-        row = self._rows.get(key)
-        if row is not None and len(row) == 1:
-            return False
         return self.add({key: Fraction(1)})
-
-    def extend(self, vectors) -> None:
-        for v in vectors:
-            self.add(v)
 
 
 def intersect_spans(rows_a: list[Vec], rows_b: list[Vec], offset) -> list[Vec]:

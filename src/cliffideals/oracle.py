@@ -2,12 +2,12 @@
 
 Everything here recomputes results of the main modules by a different
 algorithm: blade products by literal bubble sorting of index words,
-closures by fixpoint iteration instead of a single blade-pair pass, and
-nilpotency by unbounded repeated powering.  Row reduction here is
-forward elimination with largest-mask pivots and unnormalised leading
-coefficients -- deliberately not the RREF the main path uses -- so that
-agreement between the two paths is evidence rather than tautology.
-Size caps keep the brute force affordable.
+closures both by fixpoint iteration and by one pass over all blade
+pairs, and nilpotency by unbounded repeated powering.  Row reduction
+here is forward elimination with largest-mask pivots and unnormalised
+leading coefficients -- deliberately not the RREF the main path uses --
+so that agreement between the two paths is evidence rather than
+tautology.  Size caps keep the brute force affordable.
 """
 
 from __future__ import annotations
@@ -188,6 +188,29 @@ def oracle_closure_fixpoint(sig: Signature, gens) -> list[Multivector]:
                 image = _word_image(sig, gen, vec, left)
                 if image and span.add(image):
                     worklist.append(image)
+    return [Multivector(sig, row) for row in span.rows.values()]
+
+
+def oracle_closure_sandwich(sig: Signature, gens) -> list[Multivector]:
+    """Two-sided ideal closure as the span of e_a * g * e_b.
+
+    One pass over all pairs of basis blades e_a, e_b for each generator
+    g: the blades span the algebra, so these products span every x*g*y
+    and hence the smallest two-sided ideal containing g.
+    """
+    _check_cap(sig, _CLOSURE_CAP, "closure")
+    span = _RowSpan()
+    for g in gens:
+        if g.sig != sig:
+            raise ValueError(f"generator signature {g.sig} != {sig}")
+        for a in range(sig.dim):
+            left = _dict_mul(sig, {a: Fraction(1)}, g.terms)
+            if not left:
+                continue
+            for b in range(sig.dim):
+                prod = _dict_mul(sig, left, {b: Fraction(1)})
+                if prod:
+                    span.add(prod)
     return [Multivector(sig, row) for row in span.rows.values()]
 
 

@@ -20,7 +20,9 @@ order and may repeat; products are normalised through the algebra, so
 `e1*e0` parses to the negated canonical blade and a repeated null
 generator annihilates the term.  A `*` between two generators is
 mandatory (so multi-digit indices like `e12` stay unambiguous), while a
-coefficient may touch its blade (`2e0`).
+coefficient may touch its blade (`2e0`).  Parentheses may nest at most
+MAX_NESTING deep, which keeps the recursive descent inside Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from fractions import Fraction
 
 from .blades import Signature
 from .multivector import Multivector
+
+MAX_NESTING = 200
 
 
 class ExprSyntaxError(ValueError):
@@ -122,6 +126,7 @@ class _ExprParser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def _peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -168,11 +173,17 @@ class _ExprParser:
         kind = self._peek()
         if kind == "(":
             open_pos = self.tokens[self.i][2]
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", open_pos
+                )
+            self.depth += 1
             self.i += 1
             value = self._expr()
             if self._peek() != ")":
                 raise ExprSyntaxError("unbalanced parenthesis", open_pos)
             self.i += 1
+            self.depth -= 1
             return value, False
         if kind == "int":
             return Multivector.scalar(self.sig, self._rational()), True

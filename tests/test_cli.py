@@ -66,15 +66,21 @@ def test_text_output_mentions_key_facts(capsys):
     assert "value: 1" in out
 
 
-def test_seed_flag_accepted(capsys):
-    assert main(["primes", "-s", "1,1,1", "--seed", "42", "--json"]) == 0
-    json.loads(capsys.readouterr().out)
+def test_seed_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["primes", "-s", "1,1,1", "--seed", "42", "--json"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 class TestErrorExits:
     def test_bad_expression(self, capsys):
         assert main(["eval", "-s", "1,1,1", "e0 e1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_deep_nesting(self, capsys):
+        assert main(["eval", "-s", "1,0,1", "(" * 3000 + "1" + ")" * 3000]) == 2
+        assert "nested deeper" in capsys.readouterr().err
 
     def test_generator_out_of_range(self, capsys):
         assert main(["eval", "-s", "1,1,1", "e9"]) == 2

@@ -27,7 +27,7 @@ from cliffideals import (
     whole_algebra,
     zero_ideal,
 )
-from cliffideals.oracle import oracle_closure_fixpoint
+from cliffideals.oracle import oracle_closure_fixpoint, oracle_closure_sandwich
 
 from helpers import random_multivector, signatures_up_to
 
@@ -59,9 +59,10 @@ class TestClosure:
             for _ in range(10):
                 gens = [random_multivector(sig, rng) for _ in range(rng.randint(1, 2))]
                 ideal = ideal_closure(sig, gens)
-                fix = oracle_closure_fixpoint(sig, gens)
-                assert len(fix) == ideal.dim
-                assert all(ideal.contains(v) for v in fix)
+                for oracle in (oracle_closure_fixpoint, oracle_closure_sandwich):
+                    span = oracle(sig, gens)
+                    assert len(span) == ideal.dim
+                    assert all(ideal.contains(v) for v in span)
 
     def test_signature_mismatch(self):
         with pytest.raises(SignatureMismatchError):

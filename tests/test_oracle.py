@@ -6,6 +6,7 @@ from cliffideals.oracle import (
     from_dense,
     oracle_blade_mul,
     oracle_closure_fixpoint,
+    oracle_closure_sandwich,
     oracle_nilpotency,
     to_dense,
 )
@@ -72,8 +73,9 @@ class TestClosureFixpoint:
 
     def test_cap(self):
         sig = Signature(5, 4, 0)
-        with pytest.raises(ValueError):
-            oracle_closure_fixpoint(sig, [Multivector.scalar(sig, 1)])
+        for oracle in (oracle_closure_fixpoint, oracle_closure_sandwich):
+            with pytest.raises(ValueError):
+                oracle(sig, [Multivector.scalar(sig, 1)])
 
 
 class TestOracleNilpotency:

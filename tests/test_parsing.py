@@ -11,6 +11,7 @@ from cliffideals import (
     parse_expression,
     parse_signature,
 )
+from cliffideals.parsing import MAX_NESTING
 
 from helpers import random_multivector, sig_and_multivector, signatures_up_to
 
@@ -96,6 +97,13 @@ class TestParseExpression:
             with pytest.raises(ExprSyntaxError) as err:
                 parse_expression(S111, text)
             assert err.value.position == pos
+
+    def test_nesting_limit(self):
+        deepest = "(" * MAX_NESTING + "e0" + ")" * MAX_NESTING
+        assert parse_expression(S111, deepest) == Multivector.generator(S111, 0)
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expression(S111, "(" + deepest + ")")
+        assert err.value.position == MAX_NESTING
 
     def test_star_required_between_generators(self):
         with pytest.raises(ExprSyntaxError):
