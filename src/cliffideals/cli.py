@@ -109,7 +109,7 @@ def _ideal_payload(ideal) -> dict:
     return {"dim": ideal.dim, "basis": ideal.basis_strings()}
 
 
-def _run_signature_info(sig, args, relabel) -> dict:
+def _run_signature_info(sig, relabel) -> dict:
     algebra_class = classify_pq(sig)
     radical = nil_radical(sig)
     result = {
@@ -129,12 +129,12 @@ def _run_signature_info(sig, args, relabel) -> dict:
     return result
 
 
-def _run_eval(sig, args, relabel) -> dict:
+def _run_eval(sig, args) -> dict:
     value = parse_expression(sig, args.expression)
     return {"expression": args.expression, "value": str(value)}
 
 
-def _run_classify(sig, args, relabel) -> dict:
+def _run_classify(sig, args) -> dict:
     sources, gens = _parse_gens(sig, args.gens)
     ideal = ideal_closure(sig, gens)
     report = ideal_classify(ideal)
@@ -147,16 +147,16 @@ def _run_classify(sig, args, relabel) -> dict:
     }
 
 
-def _run_primes(sig, args, relabel) -> dict:
+def _run_primes(sig, args) -> dict:
     primes = prime_ideals(sig)
     return {"count": len(primes), "ideals": [_ideal_payload(p) for p in primes]}
 
 
-def _run_radical(sig, args, relabel) -> dict:
+def _run_radical(sig, args) -> dict:
     return _ideal_payload(nil_radical(sig))
 
 
-def _run_chains(sig, args, relabel) -> dict:
+def _run_chains(sig, args) -> dict:
     ascending = bool(args.ascending)
     chain = (ascending_chain if ascending else descending_chain)(sig, args.k)
     return {
@@ -167,7 +167,7 @@ def _run_chains(sig, args, relabel) -> dict:
     }
 
 
-def _run_nilpotency(sig, args, relabel) -> dict:
+def _run_nilpotency(sig, args) -> dict:
     sources, gens = _parse_gens(sig, args.gens)
     ideal = ideal_closure(sig, gens)
     return {
@@ -178,7 +178,7 @@ def _run_nilpotency(sig, args, relabel) -> dict:
     }
 
 
-def _run_support(sig, args, relabel) -> dict:
+def _run_support(sig, args) -> dict:
     sources, gens = _parse_gens(sig, args.gens)
     ideal = ideal_closure(sig, gens)
     canonical, minimal = null_support_of_ideal(ideal)
@@ -191,7 +191,6 @@ def _run_support(sig, args, relabel) -> dict:
 
 
 _HANDLERS = {
-    "signature-info": _run_signature_info,
     "eval": _run_eval,
     "ideal classify": _run_classify,
     "primes": _run_primes,
@@ -209,7 +208,10 @@ def run(args: argparse.Namespace) -> dict:
         command = f"{command} {args.subcommand}"
     sig, relabel = parse_signature(args.signature)
     start = time.perf_counter()
-    result = _HANDLERS[command](sig, args, relabel)
+    if command == "signature-info":
+        result = _run_signature_info(sig, relabel)
+    else:
+        result = _HANDLERS[command](sig, args)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return {
         "command": command,

@@ -1,11 +1,13 @@
 """Exact two-sided ideal computations.
 
-An ideal is stored as a reduced-row-echelon basis over the blade
-coordinates (ascending mask order), together with a closure certificate:
-the `closed` flag is set only after verifying that g*v and v*g reduce to
-zero against the basis for every generator g and basis vector v.  With
-that representation, membership, equality, sums, products and
-intersections are all exact rational linear algebra.
+An `Ideal` owns the reduced-row-echelon form of its span over the blade
+coordinates (ascending mask order).  Its one constructor runs the closure
+certificate before it keeps the echelon: g*v and v*g must reduce to zero
+against it for every generator g and row v, or SelfCheckError is raised.
+So every `Ideal` is certified closed at construction, and no uncertified
+one can exist.  Membership, equality, sums, products and intersections
+are then exact rational linear algebra on that echelon, which no
+operation changes afterwards.
 
 Closures are computed by generator saturation: every vector that
 enlarges the span is multiplied once by each algebra generator on the
@@ -18,12 +20,12 @@ closures independently, by its own fixpoint and by a blade-pair sweep.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import combinations
 
 from .blades import Signature, blade_mul
-from .linalg import Echelon, intersect_spans, reduce_against
+from .linalg import Echelon, intersect_spans
 from .multivector import Multivector, SignatureMismatchError
 from .structure import SelfCheckError, central_idempotents, is_split_signature
 
@@ -36,50 +38,60 @@ class IdealVerdict(enum.Enum):
     WHOLE_ALGEBRA = "whole-algebra"
 
 
-@dataclass(frozen=True)
 class Ideal:
-    """Two-sided ideal as an echelonized subspace basis."""
+    """Two-sided ideal, held as the certified echelon of its span.
 
-    sig: Signature
-    basis: tuple[Multivector, ...]
-    closed: bool = field(compare=False)
+    `Ideal(sig, ech, context)` runs the closure certificate on `ech`, naming
+    `context` if it fails, and then owns `ech`: nothing may change it later.
+    """
 
-    def __post_init__(self):
-        for v in self.basis:
-            if v.sig != self.sig:
-                raise SignatureMismatchError("basis vector signature mismatch")
+    def __init__(self, sig: Signature, ech: Echelon, context: str):
+        _certify_closed(sig, ech, context)
+        object.__setattr__(self, "sig", sig)
+        object.__setattr__(self, "_ech", ech)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Ideal is immutable")
+
+    @cached_property
+    def basis(self) -> tuple[Multivector, ...]:
+        """The RREF rows in ascending pivot order, sharing the echelon's dicts."""
+        return tuple(Multivector._raw(self.sig, row) for row in self._ech.rows())
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self._ech.rank
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self._ech.rank
 
     def is_whole_algebra(self) -> bool:
         return self.dim == self.sig.dim
 
-    @cached_property
-    def _pivot_rows(self) -> dict:
-        return {min(v.terms): v.terms for v in self.basis}
-
     def contains(self, u: Multivector) -> bool:
-        """True iff u reduces to zero against the echelon basis."""
+        """True iff u reduces to zero against the echelon."""
         if u.sig != self.sig:
             raise SignatureMismatchError(f"signature mismatch: {u.sig} vs {self.sig}")
-        return not reduce_against(u.terms, self._pivot_rows)
+        return self._ech.contains(u.terms)
 
     def contains_ideal(self, other: "Ideal") -> bool:
-        if other.sig != self.sig:
-            raise SignatureMismatchError("signature mismatch")
-        return all(self.contains(v) for v in other.basis)
+        _require_same_sig(self, other)
+        return all(self._ech.contains(row) for row in other._ech.rows())
 
     def contained_in_radical(self) -> bool:
         nm = self.sig.null_mask
-        return all(m & nm for v in self.basis for m in v.terms)
+        return all(m & nm for row in self._ech.rows() for m in row)
 
     def basis_strings(self) -> list[str]:
         return [str(v) for v in self.basis]
+
+    def __eq__(self, other):
+        if not isinstance(other, Ideal):
+            return NotImplemented
+        return self.sig == other.sig and self.basis == other.basis
+
+    def __hash__(self):
+        return hash((self.sig, self.basis))
 
     def __repr__(self) -> str:
         return f"Ideal({self.sig}, dim={self.dim})"
@@ -97,18 +109,6 @@ class ClassificationReport:
 # -- internal span machinery ------------------------------------------
 
 
-def _basis_from_echelon(sig: Signature, ech: Echelon) -> tuple[Multivector, ...]:
-    return tuple(Multivector(sig, row) for row in ech.rows())
-
-
-def _echelon_from_ideals(*ideals: Ideal) -> Echelon:
-    ech = Echelon()
-    for ideal in ideals:
-        for v in ideal.basis:
-            ech.add(v.terms)
-    return ech
-
-
 def _blade_image(sig: Signature, mask: int, terms: dict, left: bool) -> dict:
     """Multiply a term map by the blade e_mask on the given side.
 
@@ -123,17 +123,20 @@ def _blade_image(sig: Signature, mask: int, terms: dict, left: bool) -> dict:
     return out
 
 
+def _check_failed(sig: Signature, operation: str, message: str) -> SelfCheckError:
+    """A SelfCheckError that names the signature and the operation."""
+    return SelfCheckError(f"{operation} at signature {sig}: {message}")
+
+
 def _certify_closed(sig: Signature, ech: Echelon, context: str) -> None:
     """Verify two-sided closure under generator multiplication."""
     for row in ech.rows():
         for i in range(sig.n):
-            gmask = 1 << i
             for left in (True, False):
-                image = _blade_image(sig, gmask, row, left)
-                if not ech.contains(image):
-                    raise SelfCheckError(
-                        f"{context}: span is not closed under e{i} "
-                        f"({'left' if left else 'right'} multiplication)"
+                if not ech.contains(_blade_image(sig, 1 << i, row, left)):
+                    side = "left" if left else "right"
+                    raise _check_failed(
+                        sig, context, f"not closed under {side} multiplication by e{i}"
                     )
 
 
@@ -168,22 +171,15 @@ def ideal_closure(sig: Signature, gens) -> Ideal:
             raise SignatureMismatchError(f"generator signature {g.sig} != {sig}")
     for g in gens:
         _saturate(sig, ech, g.terms)
-    _certify_closed(sig, ech, "ideal_closure")
-    return Ideal(sig, _basis_from_echelon(sig, ech), closed=True)
+    return Ideal(sig, ech, "ideal_closure")
 
 
 def zero_ideal(sig: Signature) -> Ideal:
-    return Ideal(sig, (), closed=True)
+    return Ideal(sig, Echelon(), "zero_ideal")
 
 
 def whole_algebra(sig: Signature) -> Ideal:
     return ideal_closure(sig, [Multivector.scalar(sig, 1)])
-
-
-def _require_closed(*ideals: Ideal) -> None:
-    for ideal in ideals:
-        if not ideal.closed:
-            raise ValueError("operation requires certified-closed ideals")
 
 
 def _require_same_sig(a: Ideal, b: Ideal) -> None:
@@ -192,45 +188,41 @@ def _require_same_sig(a: Ideal, b: Ideal) -> None:
 
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
-    """Echelon span of the concatenated bases (a sum of ideals is one)."""
+    """Span of both ideals (a sum of ideals is one).
+
+    Starts from a copy of the larger echelon and inserts the other's rows.
+    """
     _require_same_sig(a, b)
-    _require_closed(a, b)
-    ech = _echelon_from_ideals(a, b)
-    _certify_closed(a.sig, ech, "ideal_sum")
-    return Ideal(a.sig, _basis_from_echelon(a.sig, ech), closed=True)
+    big, small = (a, b) if a.dim >= b.dim else (b, a)
+    ech = big._ech.copy()
+    for row in small._ech.rows():
+        ech.add(row)
+    return Ideal(a.sig, ech, "ideal_sum")
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     """Span of pairwise basis products u*v.
 
     The span is already two-sided (x*u in a and v*y in b expand over the
-    bases), which the closure certificate re-verifies before the flag is
-    set.
+    bases), which the constructor's closure certificate re-verifies.
     """
     _require_same_sig(a, b)
-    _require_closed(a, b)
     ech = Echelon()
     for u in a.basis:
         for v in b.basis:
             prod = u * v
             if prod:
                 ech.add(prod.terms)
-    _certify_closed(a.sig, ech, "ideal_product")
-    return Ideal(a.sig, _basis_from_echelon(a.sig, ech), closed=True)
+    return Ideal(a.sig, ech, "ideal_product")
 
 
 def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
     """Subspace intersection via the double-echelon (stacked) method."""
     _require_same_sig(a, b)
-    _require_closed(a, b)
-    rows = intersect_spans(
-        [u.terms for u in a.basis], [v.terms for v in b.basis], a.sig.dim
-    )
     out = Echelon()
-    for row in rows:
+    for row in intersect_spans(a._ech.rows(), b._ech.rows(), a.sig.dim):
         out.add(row)
-    _certify_closed(a.sig, out, "ideal_intersect")
-    return Ideal(a.sig, _basis_from_echelon(a.sig, out), closed=True)
+    return Ideal(a.sig, out, "ideal_intersect")
 
 
 # -- radicals ----------------------------------------------------------
@@ -251,10 +243,10 @@ def ideal_from_null_set(sig: Signature, null_indices) -> Ideal:
     for i in idx:
         smask |= 1 << i
     expected = [m for m in range(sig.dim) if m & smask]
-    got = [min(v.terms) for v in ideal.basis]
-    if got != expected or any(len(v.terms) != 1 for v in ideal.basis):
-        raise SelfCheckError(
-            f"ideal generated by null set {idx} does not match its blade span"
+    rows = ideal._ech.rows()
+    if [min(row) for row in rows] != expected or any(len(row) != 1 for row in rows):
+        raise _check_failed(
+            sig, "ideal_from_null_set", f"ideal of null set {idx} is not its blade span"
         )
     return ideal
 
@@ -268,8 +260,8 @@ def nil_radical(sig: Signature) -> Ideal:
     ideal = ideal_from_null_set(sig, sig.null_indices())
     expected_dim = (1 << (sig.p + sig.q)) * ((1 << sig.z) - 1)
     if ideal.dim != expected_dim:
-        raise SelfCheckError(
-            f"nil radical of {sig} has dim {ideal.dim}, expected {expected_dim}"
+        raise _check_failed(
+            sig, "nil_radical", f"dim {ideal.dim}, expected {expected_dim}"
         )
     return ideal
 
@@ -311,8 +303,8 @@ def ideal_classify(ideal: Ideal) -> ClassificationReport:
     decomposition (component span + radical intersection rebuilds the
     ideal, with matching dimension).
     """
-    _require_closed(ideal)
     sig = ideal.sig
+    fail = partial(_check_failed, sig, "ideal_classify")
     radical = nil_radical(sig)
     inter = ideal_intersect(ideal, radical)
     dims = (ideal.dim, inter.dim)
@@ -325,49 +317,40 @@ def ideal_classify(ideal: Ideal) -> ClassificationReport:
     if not is_split_signature(sig):
         if ideal.is_whole_algebra():
             return ClassificationReport(IdealVerdict.WHOLE_ALGEBRA, inter, dims)
-        raise SelfCheckError(
-            "a proper nonzero ideal escaped the radical although the "
-            f"non-degenerate part of {sig} is simple"
-        )
+        raise fail("a proper nonzero ideal escaped the radical of a simple class")
     e1, e2 = central_idempotents(sig)
     in1 = ideal.contains(e1)
     in2 = ideal.contains(e2)
     if in1 and in2:
         if not ideal.is_whole_algebra():
-            raise SelfCheckError("ideal contains 1 but is not the whole algebra")
+            raise fail("ideal contains 1 but is not the whole algebra")
         return ClassificationReport(IdealVerdict.WHOLE_ALGEBRA, inter, dims)
     if in1 or in2:
         comp = e1 if in1 else e2
         half = (1 << (sig.p + sig.q)) // 2
         if ideal.dim != half + inter.dim:
-            raise SelfCheckError(
+            raise fail(
                 f"component direct-sum dimension identity failed: "
                 f"{ideal.dim} != {half} + {inter.dim}"
             )
         ech = Echelon()
         for row in _component_rows(sig, comp):
-            if not ideal.contains(Multivector(sig, row)):
-                raise SelfCheckError("component span escapes the ideal")
+            if not ideal._ech.contains(row):
+                raise fail("component span escapes the ideal")
             ech.add(row)
         if ech.rank != half:
-            raise SelfCheckError(
-                f"split component has rank {ech.rank}, expected {half}"
-            )
-        for v in inter.basis:
-            ech.add(v.terms)
+            raise fail(f"split component has rank {ech.rank}, expected {half}")
+        for row in inter._ech.rows():
+            ech.add(row)
         if ech.rank != ideal.dim:
-            raise SelfCheckError(
-                "component + radical intersection does not rebuild the ideal"
-            )
+            raise fail("component + radical intersection does not rebuild the ideal")
         verdict = (
             IdealVerdict.COMPONENT1_PLUS_RADICAL_PART
             if in1
             else IdealVerdict.COMPONENT2_PLUS_RADICAL_PART
         )
         return ClassificationReport(verdict, inter, dims)
-    raise SelfCheckError(
-        "ideal escapes the radical but contains neither split idempotent"
-    )
+    raise fail("ideal escapes the radical but contains neither split idempotent")
 
 
 def prime_ideals(sig: Signature) -> list[Ideal]:
@@ -392,7 +375,6 @@ def ideal_nilpotency_index(ideal: Ideal):
     elements repeats a null generator, so surviving that bound certifies
     the None verdict.
     """
-    _require_closed(ideal)
     bound = ideal.sig.z + 1
     power = ideal
     for k in range(1, bound + 1):
@@ -413,12 +395,11 @@ def null_support_of_ideal(ideal: Ideal) -> tuple[frozenset, frozenset]:
     hitting-set search over the null parts of the basis blades (ties
     broken towards smallest indices).
     """
-    _require_closed(ideal)
     sig = ideal.sig
     if not ideal.contained_in_radical():
         raise ValueError("null support is defined for ideals inside the nil radical")
     nm = sig.null_mask
-    kparts = {m & nm for v in ideal.basis for m in v.terms}
+    kparts = {m & nm for row in ideal._ech.rows() for m in row}
     if not kparts:
         return frozenset(), frozenset()
     acc = 0
@@ -433,7 +414,9 @@ def null_support_of_ideal(ideal: Ideal) -> tuple[frozenset, frozenset]:
                 cmask |= 1 << i
             if all(kp & cmask for kp in kparts):
                 return canonical, frozenset(combo)
-    raise SelfCheckError("hitting-set search failed on a nonempty support")
+    raise _check_failed(
+        sig, "null_support_of_ideal", "hitting-set search failed on a nonempty support"
+    )
 
 
 def finite_generating_witness(ideal: Ideal) -> list[Multivector]:
@@ -443,7 +426,6 @@ def finite_generating_witness(ideal: Ideal) -> list[Multivector]:
     already generate it, then prunes backwards so no kept vector is
     generated by the rest.
     """
-    _require_closed(ideal)
     sig = ideal.sig
     if not ideal.contained_in_radical():
         raise ValueError("generating witness is computed for nilpotent ideals only")
@@ -482,7 +464,7 @@ def descending_chain(sig: Signature, k: int) -> list[Ideal]:
         chain.append(ideal_closure(sig, [Multivector.blade(sig, mask)]))
     for big, small in zip(chain, chain[1:]):
         if not (big.contains_ideal(small) and small.dim < big.dim):
-            raise SelfCheckError("descending chain is not strictly decreasing")
+            raise _check_failed(sig, "descending_chain", "not strictly decreasing")
     return chain
 
 
@@ -494,5 +476,5 @@ def ascending_chain(sig: Signature, k: int) -> list[Ideal]:
     chain = [ideal_from_null_set(sig, nulls[: i + 1]) for i in range(k)]
     for small, big in zip(chain, chain[1:]):
         if not (big.contains_ideal(small) and small.dim < big.dim):
-            raise SelfCheckError("ascending chain is not strictly increasing")
+            raise _check_failed(sig, "ascending_chain", "not strictly increasing")
     return chain

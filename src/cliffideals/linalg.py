@@ -30,25 +30,6 @@ def vec_sub_scaled(v: Vec, row: Vec, c: Fraction) -> None:
             v.pop(k, None)
 
 
-def reduce_against(v: Vec, rows: dict) -> Vec:
-    """Fully reduce a copy of v against RREF rows keyed by their pivots.
-
-    RREF rows are zero in every other pivot coordinate, so one pass
-    over the pivot coordinates initially present in v suffices.  A unit
-    row (its pivot alone) just clears its coordinate.
-    """
-    out = dict(v)
-    for k in [k for k in out if k in rows]:
-        c = out.get(k)
-        if c:
-            row = rows[k]
-            if len(row) == 1:
-                del out[k]
-            else:
-                vec_sub_scaled(out, row, c)
-    return out
-
-
 class Echelon:
     """A growing RREF basis of a subspace."""
 
@@ -66,9 +47,30 @@ class Echelon:
     def pivots(self) -> list:
         return sorted(self._rows)
 
+    def copy(self) -> "Echelon":
+        """Row-wise copy: inserting into it leaves this echelon unchanged."""
+        out = Echelon()
+        out._rows = {p: dict(row) for p, row in self._rows.items()}
+        return out
+
     def reduce(self, v: Vec) -> Vec:
-        """Fully reduce a copy of v against the basis."""
-        return reduce_against(v, self._rows)
+        """Fully reduce a copy of v against the basis.
+
+        RREF rows are zero in every other pivot coordinate, so one pass
+        over the pivot coordinates initially present in v suffices.  A
+        unit row (its pivot alone) just clears its coordinate.
+        """
+        rows = self._rows
+        out = dict(v)
+        for k in [k for k in out if k in rows]:
+            c = out.get(k)
+            if c:
+                row = rows[k]
+                if len(row) == 1:
+                    del out[k]
+                else:
+                    vec_sub_scaled(out, row, c)
+        return out
 
     def contains(self, v: Vec) -> bool:
         return not self.reduce(v)

@@ -216,8 +216,10 @@ class Multivector:
     def nilpotency_index(self):
         """Smallest n >= 1 with self**n == 0, or None if there is none.
 
-        The search stops at dim+1, which certifies the None verdict here:
-        a nilpotent element of this algebra has index at most z+1.
+        The search stops at dim+1, which certifies the None verdict: left
+        multiplication by a nilpotent x is a nilpotent linear map on the
+        dim-dimensional algebra, so x**dim == 0.  (The index is not bounded
+        by z+1: (e0+e1)**2 == 0 in Cl(1,1,0), where z = 0.)
         """
         power = self
         for k in range(1, self.sig.dim + 2):

@@ -6,6 +6,7 @@ from cliffideals import (
     Ideal,
     IdealVerdict,
     Multivector,
+    SelfCheckError,
     Signature,
     SignatureMismatchError,
     ascending_chain,
@@ -27,6 +28,7 @@ from cliffideals import (
     whole_algebra,
     zero_ideal,
 )
+from cliffideals.linalg import Echelon
 from cliffideals.oracle import oracle_closure_fixpoint, oracle_closure_sandwich
 
 from helpers import random_multivector, signatures_up_to
@@ -51,7 +53,7 @@ class TestClosure:
 
     def test_empty_gens(self):
         ideal = ideal_closure(S111, [])
-        assert ideal.is_zero() and ideal.closed
+        assert ideal.is_zero()
 
     def test_matches_fixpoint_oracle_on_random_gens(self):
         rng = random.Random(31)
@@ -67,6 +69,33 @@ class TestClosure:
     def test_signature_mismatch(self):
         with pytest.raises(SignatureMismatchError):
             ideal_closure(S111, [Multivector.scalar(Signature(2, 0, 0), 1)])
+
+
+class TestConstruction:
+    def test_unclosed_span_is_refused(self):
+        # the span of e2 alone is not closed: e0*e2 lies outside it
+        ech = Echelon()
+        ech.add(Multivector.generator(S111, 2).terms)
+        with pytest.raises(SelfCheckError) as caught:
+            Ideal(S111, ech, "forged span")
+        message = str(caught.value)
+        assert "forged span" in message and str(S111) in message
+
+    def test_basis_tuple_is_not_accepted(self):
+        e0, e2 = Multivector.generator(S111, 0), Multivector.generator(S111, 2)
+        with pytest.raises(TypeError):
+            Ideal(S111, (e0 + e2, e0), closed=True)
+
+    def test_closed_span_is_accepted(self):
+        ech = Echelon()
+        for m in (0b100, 0b101, 0b110, 0b111):
+            ech.add(Multivector.blade(S111, m).terms)
+        assert Ideal(S111, ech, "hand-built") == closure_of_masks(S111, 0b100)
+
+    def test_immutable(self):
+        ideal = closure_of_masks(S111, 0b100)
+        with pytest.raises(AttributeError):
+            ideal.sig = Signature(1, 1, 0)
 
 
 class TestContains:
@@ -125,10 +154,16 @@ class TestSumProductIntersect:
                 assert a.contains_ideal(prod) and b.contains_ideal(prod)
                 assert total.dim + inter.dim == a.dim + b.dim
 
-    def test_requires_closed(self):
-        open_ideal = Ideal(S111, (Multivector.generator(S111, 2),), closed=False)
-        with pytest.raises(ValueError):
-            ideal_sum(open_ideal, zero_ideal(S111))
+    def test_sum_leaves_operands_unchanged(self):
+        rng = random.Random(39)
+        for sig in signatures_up_to(4, min_z=1):
+            a = ideal_closure(sig, [random_multivector(sig, rng)])
+            b = ideal_closure(sig, [random_multivector(sig, rng)])
+            before = (a.basis_strings(), b.basis_strings())
+            total = ideal_sum(a, b)
+            assert total == ideal_sum(b, a)
+            assert total == ideal_closure(sig, list(a.basis) + list(b.basis))
+            assert (a.basis_strings(), b.basis_strings()) == before
 
     def test_signature_mismatch(self):
         with pytest.raises(SignatureMismatchError):
@@ -215,10 +250,6 @@ class TestClassify:
                     assert report.dims[0] == report.dims[1] > 0
                 elif report.verdict is IdealVerdict.WHOLE_ALGEBRA:
                     assert report.dims[0] == sig.dim
-
-    def test_requires_closed(self):
-        with pytest.raises(ValueError):
-            ideal_classify(Ideal(S111, (), closed=False))
 
 
 class TestPrimeIdeals:
@@ -395,7 +426,6 @@ def test_closure_certificates_hold():
             ideal_closure(sig, [random_multivector(sig, rng)]),
         ]
         for ideal in ideals:
-            assert ideal.closed
             for v in ideal.basis:
                 for i in range(sig.n):
                     g = Multivector.generator(sig, i)

@@ -142,6 +142,12 @@ class TestNilpotencyIndex:
         assert (u * u).is_zero()
         assert u.nilpotency_index() == 2
 
+    def test_index_not_bounded_by_z_plus_one(self):
+        # z = 0, yet e0 + e1 squares to e0^2 + e1^2 = 1 - 1 = 0
+        sig = Signature(1, 1, 0)
+        u = Multivector.generator(sig, 0) + Multivector.generator(sig, 1)
+        assert u.nilpotency_index() == 2
+
     def test_zero_has_index_one(self):
         assert Multivector.zero(S111).nilpotency_index() == 1
 

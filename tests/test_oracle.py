@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import cliffideals.oracle
 from cliffideals import Multivector, Signature, blade_mul, nil_radical, whole_algebra
 from cliffideals.oracle import (
     DenseTable,
@@ -101,3 +105,17 @@ def test_blade_agreement_exhaustive_small():
         for a in range(sig.dim):
             for b in range(sig.dim):
                 assert blade_mul(sig, a, b) == oracle_blade_mul(sig, a, b)
+
+
+def test_oracle_is_independent_of_the_main_path():
+    # the oracle cross-checks linalg and ideals, so it must not import them
+    source = Path(cliffideals.oracle.__file__).read_text(encoding="utf-8")
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            assert not set(name.split(".")) & {"linalg", "ideals"}, name
