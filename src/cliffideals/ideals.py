@@ -2,12 +2,11 @@
 
 An `Ideal` owns the reduced-row-echelon form of its span over the blade
 coordinates (ascending mask order).  Its one constructor runs the closure
-certificate before it keeps the echelon: g*v and v*g must reduce to zero
-against it for every generator g and row v, or SelfCheckError is raised.
-So every `Ideal` is certified closed at construction, and no uncertified
-one can exist.  Membership, equality, sums, products and intersections
-are then exact rational linear algebra on that echelon, which no
-operation changes afterwards.
+certificate, then takes the echelon's rows: g*v and v*g must reduce to
+zero against it for every generator g and row v, or SelfCheckError is
+raised.  So every `Ideal` is certified closed, and no uncertified one can
+exist.  Membership, equality, sums, products and intersections are exact
+rational linear algebra on that echelon, which nothing changes afterwards.
 
 Closures are computed by generator saturation: every vector that
 enlarges the span is multiplied once by each algebra generator on the
@@ -15,6 +14,11 @@ left and on the right, and the images go back into the echelon.  The
 generators generate the algebra, so the saturated span is the smallest
 two-sided ideal containing the input.  The oracle module re-derives
 closures independently, by its own fixpoint and by a blade-pair sweep.
+
+The null generators take the top z bits, so the nil radical is the blade
+tail at masks >= 2**(p+q), and the RREF rows of I with a pivot there are
+the RREF of I & radical.  Each split prime is one closure: its central
+idempotent with the null generators.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from itertools import combinations
 
 from .blades import Signature, blade_mul
 from .linalg import Echelon, intersect_spans
-from .multivector import Multivector, SignatureMismatchError
+from .multivector import Multivector, SignatureMismatchError, _check_same_sig
 from .structure import SelfCheckError, central_idempotents, is_split_signature
 
 
@@ -42,13 +46,14 @@ class Ideal:
     """Two-sided ideal, held as the certified echelon of its span.
 
     `Ideal(sig, ech, context)` runs the closure certificate on `ech`, naming
-    `context` if it fails, and then owns `ech`: nothing may change it later.
+    `context` if it fails, and then moves its rows out, leaving `ech`
+    empty: inserting into `ech` later cannot change the ideal.
     """
 
     def __init__(self, sig: Signature, ech: Echelon, context: str):
         _certify_closed(sig, ech, context)
         object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "_ech", ech)
+        object.__setattr__(self, "_ech", ech.take())
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
@@ -70,17 +75,17 @@ class Ideal:
 
     def contains(self, u: Multivector) -> bool:
         """True iff u reduces to zero against the echelon."""
-        if u.sig != self.sig:
-            raise SignatureMismatchError(f"signature mismatch: {u.sig} vs {self.sig}")
+        _check_same_sig(u, self)
         return self._ech.contains(u.terms)
 
     def contains_ideal(self, other: "Ideal") -> bool:
-        _require_same_sig(self, other)
+        _check_same_sig(self, other)
         return all(self._ech.contains(row) for row in other._ech.rows())
 
     def contained_in_radical(self) -> bool:
-        nm = self.sig.null_mask
-        return all(m & nm for row in self._ech.rows() for m in row)
+        """True iff every pivot is a radical blade (mask >= 2**(p+q))."""
+        start = 1 << (self.sig.p + self.sig.q)
+        return all(p >= start for p in self._ech.pivots())
 
     def basis_strings(self) -> list[str]:
         return [str(v) for v in self.basis]
@@ -182,17 +187,12 @@ def whole_algebra(sig: Signature) -> Ideal:
     return ideal_closure(sig, [Multivector.scalar(sig, 1)])
 
 
-def _require_same_sig(a: Ideal, b: Ideal) -> None:
-    if a.sig != b.sig:
-        raise SignatureMismatchError(f"signature mismatch: {a.sig} vs {b.sig}")
-
-
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     """Span of both ideals (a sum of ideals is one).
 
     Starts from a copy of the larger echelon and inserts the other's rows.
     """
-    _require_same_sig(a, b)
+    _check_same_sig(a, b)
     big, small = (a, b) if a.dim >= b.dim else (b, a)
     ech = big._ech.copy()
     for row in small._ech.rows():
@@ -206,7 +206,7 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     The span is already two-sided (x*u in a and v*y in b expand over the
     bases), which the constructor's closure certificate re-verifies.
     """
-    _require_same_sig(a, b)
+    _check_same_sig(a, b)
     ech = Echelon()
     for u in a.basis:
         for v in b.basis:
@@ -218,7 +218,7 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
 
 def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
     """Subspace intersection via the double-echelon (stacked) method."""
-    _require_same_sig(a, b)
+    _check_same_sig(a, b)
     out = Echelon()
     for row in intersect_spans(a._ech.rows(), b._ech.rows(), a.sig.dim):
         out.add(row)
@@ -276,11 +276,8 @@ def jacobson_radical(sig: Signature) -> Ideal:
 
 def _component_rows(sig: Signature, idempotent: Multivector) -> list[dict]:
     """Spanning rows of (idempotent * non-degenerate subalgebra)."""
-    nullmask = sig.null_mask
     rows = []
-    for m in range(sig.dim):
-        if m & nullmask:
-            continue
+    for m in range(1 << (sig.p + sig.q)):
         prod = idempotent * Multivector.blade(sig, m)
         if prod:
             rows.append(prod.terms)
@@ -305,15 +302,13 @@ def ideal_classify(ideal: Ideal) -> ClassificationReport:
     """
     sig = ideal.sig
     fail = partial(_check_failed, sig, "ideal_classify")
-    radical = nil_radical(sig)
-    inter = ideal_intersect(ideal, radical)
+    start = 1 << (sig.p + sig.q)  # radical: blades at masks >= start
+    inter = Ideal(sig, ideal._ech.copy(start), "ideal_classify")
     dims = (ideal.dim, inter.dim)
     if ideal.dim == 0:
         return ClassificationReport(IdealVerdict.ZERO, inter, dims)
-    if ideal.contained_in_radical():
-        return ClassificationReport(
-            IdealVerdict.CONTAINED_IN_RADICAL, inter, dims
-        )
+    if inter.dim == ideal.dim:
+        return ClassificationReport(IdealVerdict.CONTAINED_IN_RADICAL, inter, dims)
     if not is_split_signature(sig):
         if ideal.is_whole_algebra():
             return ClassificationReport(IdealVerdict.WHOLE_ALGEBRA, inter, dims)
@@ -327,7 +322,7 @@ def ideal_classify(ideal: Ideal) -> ClassificationReport:
         return ClassificationReport(IdealVerdict.WHOLE_ALGEBRA, inter, dims)
     if in1 or in2:
         comp = e1 if in1 else e2
-        half = (1 << (sig.p + sig.q)) // 2
+        half = start // 2
         if ideal.dim != half + inter.dim:
             raise fail(
                 f"component direct-sum dimension identity failed: "
@@ -355,14 +350,12 @@ def ideal_classify(ideal: Ideal) -> ClassificationReport:
 
 def prime_ideals(sig: Signature) -> list[Ideal]:
     """All prime ideals: the radical alone (simple class) or the two
-    component-plus-radical ideals (split class)."""
-    radical = nil_radical(sig)
+    component-plus-radical ideals (split class), each the closure of its
+    central idempotent with the null generators."""
     if not is_split_signature(sig):
-        return [radical]
-    return [
-        ideal_sum(component_ideal(sig, 1), radical),
-        ideal_sum(component_ideal(sig, 2), radical),
-    ]
+        return [nil_radical(sig)]
+    nulls = [Multivector.generator(sig, i) for i in sig.null_indices()]
+    return [ideal_closure(sig, [e, *nulls]) for e in central_idempotents(sig)]
 
 
 # -- nilpotency --------------------------------------------------------

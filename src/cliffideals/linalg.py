@@ -47,10 +47,16 @@ class Echelon:
     def pivots(self) -> list:
         return sorted(self._rows)
 
-    def copy(self) -> "Echelon":
-        """Row-wise copy: inserting into it leaves this echelon unchanged."""
+    def copy(self, start=0) -> "Echelon":
+        """Row-wise copy of the rows whose pivot is >= start."""
         out = Echelon()
-        out._rows = {p: dict(row) for p, row in self._rows.items()}
+        out._rows = {p: dict(row) for p, row in self._rows.items() if p >= start}
+        return out
+
+    def take(self) -> "Echelon":
+        """Move every row into a new echelon and leave this one empty (O(1))."""
+        out = Echelon()
+        out._rows, self._rows = self._rows, {}
         return out
 
     def reduce(self, v: Vec) -> Vec:

@@ -19,7 +19,7 @@ class SignatureMismatchError(ValueError):
     """Operands live in algebras with different signatures."""
 
 
-def _check_same_sig(a: "Multivector", b: "Multivector") -> None:
+def _check_same_sig(a, b) -> None:  # any two objects with a .sig
     if a.sig != b.sig:
         raise SignatureMismatchError(f"signature mismatch: {a.sig} vs {b.sig}")
 
@@ -230,19 +230,19 @@ class Multivector:
         return None
 
     def unipotent_inverse(self) -> "Multivector":
-        """Inverse of 1 + x for x in the nil radical, by geometric series.
+        """Inverse of 1 + x for x in the nil radical, by the geometric series.
 
-        Requires the body part to be exactly 1; raises ValueError otherwise.
+        The series ends because x**(z+1) == 0.  Requires the body part to
+        be exactly 1; raises ValueError otherwise.
         """
         body, rad = self.radical_split()
         if body != Multivector.scalar(self.sig, 1):
             raise ValueError("unipotent inverse needs body part exactly 1")
-        index = rad.nilpotency_index()
-        acc = Multivector.scalar(self.sig, 1)
-        term = Multivector.scalar(self.sig, 1)
-        for k in range(1, index):
-            term = term * rad
-            acc = acc - term if k % 2 else acc + term
+        neg = -rad
+        acc = term = Multivector.scalar(self.sig, 1)
+        while term:
+            term = term * neg
+            acc = acc + term
         return acc
 
     # -- printing -----------------------------------------------------

@@ -97,6 +97,19 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             ideal.sig = Signature(1, 1, 0)
 
+    def test_constructor_takes_the_rows(self):
+        # the caller's echelon is left empty, so inserting into it later
+        # cannot change the certified ideal
+        ech = Echelon()
+        for m in (0b100, 0b101, 0b110, 0b111):
+            ech.add(Multivector.blade(S111, m).terms)
+        ideal = Ideal(S111, ech, "hand-built")
+        e0 = Multivector.generator(S111, 0)
+        ech.add(e0.terms)
+        assert ideal.dim == 4
+        assert len(ideal.basis) == 4
+        assert not ideal.contains(e0)
+
 
 class TestContains:
     def test_radical_absorbs(self):
@@ -117,6 +130,17 @@ class TestContains:
     def test_signature_mismatch(self):
         with pytest.raises(SignatureMismatchError):
             nil_radical(S111).contains(Multivector.zero(Signature(1, 1, 0)))
+
+    def test_contained_in_radical_matches_term_scan(self):
+        rng = random.Random(53)
+        for sig in signatures_up_to(5):
+            ideals = [zero_ideal(sig), whole_algebra(sig), nil_radical(sig)]
+            for radical_only in (False, True, False, True):
+                gen = random_multivector(sig, rng, radical_only=radical_only)
+                ideals.append(ideal_closure(sig, [gen]))
+            for ideal in ideals:
+                scan = all(m & sig.null_mask for v in ideal.basis for m in v.terms)
+                assert ideal.contained_in_radical() == scan
 
 
 class TestSumProductIntersect:
@@ -251,6 +275,25 @@ class TestClassify:
                 elif report.verdict is IdealVerdict.WHOLE_ALGEBRA:
                     assert report.dims[0] == sig.dim
 
+    def test_radical_intersection_matches_intersect_reference(self):
+        # I & radical read off I's echelon equals the double-echelon
+        # intersection with the closed radical
+        rng = random.Random(47)
+        seen = set()
+        for sig in signatures_up_to(5):
+            radical = nil_radical(sig)
+            ideals = [zero_ideal(sig), whole_algebra(sig), radical]
+            if is_split_signature(sig):
+                ideals += [component_ideal(sig, 1), component_ideal(sig, 2)]
+            ideals += [
+                ideal_closure(sig, [random_multivector(sig, rng)]) for _ in range(3)
+            ]
+            for ideal in ideals:
+                report = ideal_classify(ideal)
+                seen.add(report.verdict)
+                assert report.radical_intersection == ideal_intersect(ideal, radical)
+        assert seen == set(IdealVerdict)
+
 
 class TestPrimeIdeals:
     def test_simple_gives_radical(self):
@@ -272,6 +315,17 @@ class TestPrimeIdeals:
             radical = nil_radical(sig)
             for prime in prime_ideals(sig):
                 assert prime.contains_ideal(radical)
+
+    def test_split_primes_match_sum_reference(self):
+        # each split prime is one closure; the reference sums the
+        # component ideal and the radical
+        sigs = [sig for sig in signatures_up_to(5) if is_split_signature(sig)]
+        assert sigs
+        for sig in sigs:
+            radical = nil_radical(sig)
+            assert prime_ideals(sig) == [
+                ideal_sum(component_ideal(sig, w), radical) for w in (1, 2)
+            ]
 
 
 class TestIdealNilpotency:
