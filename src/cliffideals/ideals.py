@@ -17,8 +17,8 @@ closures independently, by its own fixpoint and by a blade-pair sweep.
 
 The null generators take the top z bits, so the nil radical is the blade
 tail at masks >= 2**(p+q), and the RREF rows of I with a pivot there are
-the RREF of I & radical.  Each split prime is one closure: its central
-idempotent with the null generators.
+the RREF of I & radical.  Each split prime is the closure of its central
+idempotent alone, which already contains the radical.
 """
 
 from __future__ import annotations
@@ -351,11 +351,12 @@ def ideal_classify(ideal: Ideal) -> ClassificationReport:
 def prime_ideals(sig: Signature) -> list[Ideal]:
     """All prime ideals: the radical alone (simple class) or the two
     component-plus-radical ideals (split class), each the closure of its
-    central idempotent with the null generators."""
+    central idempotent e.  In the split class p+q is odd, so each null
+    generator e_k anticommutes with omega and e_k = e_k*e + e*e_k: each
+    closure already holds the radical."""
     if not is_split_signature(sig):
         return [nil_radical(sig)]
-    nulls = [Multivector.generator(sig, i) for i in sig.null_indices()]
-    return [ideal_closure(sig, [e, *nulls]) for e in central_idempotents(sig)]
+    return [ideal_closure(sig, [e]) for e in central_idempotents(sig)]
 
 
 # -- nilpotency --------------------------------------------------------

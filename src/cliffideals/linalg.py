@@ -7,6 +7,13 @@ full RREF at all times: pivots are normalised to 1, each pivot coordinate
 is zero in every other row, and rows iterate in ascending pivot order.
 This makes membership tests, spans and subspace intersections exact and
 deterministic.
+
+Beside its rows, an echelon keeps a column index: each non-pivot key
+maps to the set of pivots whose row holds it.  A new row with pivot k
+only has to be eliminated from the rows the index lists under k, so an
+insert costs the rows it touches instead of a scan of every row.  A unit
+row (its pivot alone), such as every row of a nil radical, adds nothing
+to the index.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ class Echelon:
 
     def __init__(self):
         self._rows: dict = {}  # pivot key -> row vector
+        self._cols: dict = {}  # non-pivot key -> pivots of the rows holding it
 
     @property
     def rank(self) -> int:
@@ -51,12 +59,18 @@ class Echelon:
         """Row-wise copy of the rows whose pivot is >= start."""
         out = Echelon()
         out._rows = {p: dict(row) for p, row in self._rows.items() if p >= start}
+        cols = out._cols
+        for p, row in out._rows.items():
+            for k in row:
+                if k != p:
+                    cols.setdefault(k, set()).add(p)
         return out
 
     def take(self) -> "Echelon":
         """Move every row into a new echelon and leave this one empty (O(1))."""
         out = Echelon()
         out._rows, self._rows = self._rows, {}
+        out._cols, self._cols = self._cols, {}
         return out
 
     def reduce(self, v: Vec) -> Vec:
@@ -82,7 +96,12 @@ class Echelon:
         return not self.reduce(v)
 
     def add(self, v: Vec) -> bool:
-        """Insert v's residue; returns True if the rank grew."""
+        """Insert v's residue; returns True if the rank grew.
+
+        The residue is zero at every stored pivot, so its other keys are
+        non-pivot keys; the rows that hold its pivot come from the column
+        index, and the index follows every key a row gains or loses.
+        """
         red = self.reduce(v)
         if not red:
             return False
@@ -90,11 +109,26 @@ class Echelon:
         lead = red[pivot]
         if lead != 1:
             red = vec_scale(red, Fraction(1, 1) / lead)
-        for row in self._rows.values():
-            c = row.get(pivot)
-            if c:
-                vec_sub_scaled(row, red, c)
-        self._rows[pivot] = red
+        rows, cols = self._rows, self._cols
+        tail = [(k, x) for k, x in red.items() if k != pivot]
+        for k, _ in tail:
+            cols.setdefault(k, set()).add(pivot)
+        for p in cols.pop(pivot, ()):
+            row = rows[p]
+            c = row.pop(pivot)
+            for k, x in tail:
+                old = row.get(k)
+                if old is None:
+                    row[k] = -c * x
+                    cols[k].add(p)
+                else:
+                    s = old - c * x
+                    if s:
+                        row[k] = s
+                    else:
+                        del row[k]
+                        cols[k].remove(p)
+        rows[pivot] = red
         return True
 
     def add_unit(self, key) -> bool:

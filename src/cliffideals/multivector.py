@@ -127,8 +127,10 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         _check_same_sig(self, other)
-        # the blade_mul sign rule, inlined for the hot path (agreement
-        # with blade_mul and the bubble-sort oracle is tested exhaustively)
+        # the blade_mul sign rule, inlined for the hot path in its loop
+        # form: the same inversion parity that blade_mul reads off a
+        # prefix-parity mask (agreement with blade_mul and the
+        # bubble-sort oracle is tested exhaustively)
         sig = self.sig
         nullmask = sig.null_mask
         minusmask = sig.minus_mask

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -174,8 +176,6 @@ def test_associativity_exhaustive_tiny():
 
 def test_associativity_randomized_large():
     # exhaustive coverage stops at five generators; sample triples above
-    import random
-
     rng = random.Random(73)
     for sig in signatures_up_to(8, min_total=6):
         dim = sig.dim
@@ -205,3 +205,43 @@ def test_blade_mul_matches_oracle(sig, data):
     a = data.draw(st.integers(0, sig.dim - 1))
     b = data.draw(st.integers(0, sig.dim - 1))
     assert blade_mul(sig, a, b) == oracle_blade_mul(sig, a, b)
+
+
+def _inversion_product(sig, a, b):
+    # blade product from a direct count of the pairs (x in a, y in b), x > y
+    if a & b & sig.null_mask:
+        return 0, 0
+    bits_a = [x for x in range(sig.n) if (a >> x) & 1]
+    bits_b = [y for y in range(sig.n) if (b >> y) & 1]
+    swaps = sum(1 for x in bits_a for y in bits_b if x > y)
+    swaps += (a & b & sig.minus_mask).bit_count()
+    return (-1) ** swaps, a ^ b
+
+
+def test_blade_mul_matches_oracle_sampled_mid_sizes():
+    # the exhaustive agreement stops at n = 4, where shifts of 1 and 2
+    # already carry the prefix parity across every bit
+    rng = random.Random(5)
+    for sig in signatures_up_to(10, min_total=5):
+        for _ in range(40):
+            a, b = rng.randrange(sig.dim), rng.randrange(sig.dim)
+            assert blade_mul(sig, a, b) == oracle_blade_mul(sig, a, b), (sig, a, b)
+
+
+def test_blade_mul_matches_inversion_count_up_to_the_cap():
+    rng = random.Random(11)
+    for n in range(11, GENERATOR_CAP + 1):
+        third = n // 3
+        for sig in (
+            Signature(n, 0, 0),
+            Signature(0, n, 0),
+            Signature(third, third, n - 2 * third),
+        ):
+            full = sig.full_mask
+            top = 1 << (n - 1)
+            pairs = [(full, full), (top, full), (full, top), (top, 1), (1, top)]
+            pairs += [(rng.randrange(sig.dim), rng.randrange(sig.dim)) for _ in range(200)]
+            if n == GENERATOR_CAP:
+                pairs += [(1 << 15, b) for b in (1, 0x5555, 0x7FFF, 0xFFFF)]
+            for a, b in pairs:
+                assert blade_mul(sig, a, b) == _inversion_product(sig, a, b), (sig, a, b)
