@@ -13,7 +13,6 @@ from .blades import (
     blade_mul,
     blade_parts,
     blade_str,
-    generator_square,
 )
 from .ideals import (
     ClassificationReport,
@@ -30,7 +29,6 @@ from .ideals import (
     ideal_nilpotency_index,
     ideal_product,
     ideal_sum,
-    jacobson_radical,
     nil_radical,
     null_support_of_ideal,
     prime_ideals,
@@ -60,7 +58,6 @@ __all__ = [
     "blade_mul",
     "blade_parts",
     "blade_str",
-    "generator_square",
     "Multivector",
     "SignatureMismatchError",
     "AlgebraClass",
@@ -85,7 +82,6 @@ __all__ = [
     "ideal_nilpotency_index",
     "ideal_product",
     "ideal_sum",
-    "jacobson_radical",
     "nil_radical",
     "null_support_of_ideal",
     "prime_ideals",

@@ -106,11 +106,6 @@ class Signature:
         return f"{self.p},{self.q},{self.z}"
 
 
-def generator_square(sig: Signature, index: int) -> int:
-    """Square of a single generator under `sig` (+1, -1 or 0)."""
-    return sig.square(index)
-
-
 def blade_mul(sig: Signature, a: int, b: int) -> tuple[int, int]:
     """Product of two basis blades in canonical form.
 

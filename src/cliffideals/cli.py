@@ -29,12 +29,24 @@ from .parsing import parse_expression, parse_signature
 from .structure import AlgebraKind, SelfCheckError, classify_pq
 
 
+class _Text(argparse.Action):
+    """Store a text option as given.
+
+    argparse drops a "--" it finds in an option's value and hands over an
+    empty list, so `--signature=--` arrives as []; that list stands for "--".
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values if isinstance(values, str) else "--")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "-s",
         "--signature",
         required=True,
+        action=_Text,
         help="algebra signature: 'p,q,z' or a role string over +, -, 0",
     )
     common.add_argument(
@@ -69,7 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="classify the ideal generated by expressions",
     )
     p_classify.add_argument(
-        "--gens", required=True, help="semicolon-separated generator expressions"
+        "--gens",
+        required=True,
+        action=_Text,
+        help="semicolon-separated generator expressions",
     )
 
     sub.add_parser("primes", parents=[common], help="list the prime ideals")
@@ -88,14 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="nilpotency index of the ideal generated by expressions",
     )
-    p_nilp.add_argument("--gens", required=True)
+    p_nilp.add_argument("--gens", required=True, action=_Text)
 
     p_support = sub.add_parser(
         "support",
         parents=[common],
         help="null-generator support of a radical ideal",
     )
-    p_support.add_argument("--gens", required=True)
+    p_support.add_argument("--gens", required=True, action=_Text)
 
     return parser
 

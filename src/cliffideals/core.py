@@ -1,0 +1,153 @@
+"""The splitting Cl(p,q,z) = M (x) C into a central simple part and a core.
+
+Let 2m be p+q rounded down to an even number and omega' = e_0...e_{2m-1}.
+M is the subalgebra of the first 2m generators; it is central simple of
+dimension 4**m.  The twisted generators g_j = omega'*e_{2m+j} (j = 0..c-1,
+c = n - 2m) commute with M and anticommute with each other, and
+g_j**2 = omega'**2 * e_{2m+j}**2: each null e_k gives an f_k with f_k**2 = 0,
+and when p+q is odd, h = omega'*e_{p+q-1} squares to +1 or -1.  So the
+twisted generators generate a copy of the core algebra C = Cl(r,s,z) with
+r+s <= 1, and the product map M (x) C -> Cl(p,q,z) is an isomorphism.
+
+Core generator j stands for g_j, so a core blade b stands for
+g_b = g_{j1}...g_{jt} = (omega'**2)**(t//2) * omega'**(t mod 2) * e_(b<<2m),
+since omega' commutes with every e_k with k >= 2m.  Hence e_A * g_b is
++-e_X with X = (A ^ omega' if t is odd else A) | b << 2m, a bijection of
+the (M blade, core blade) pairs onto the blades.
+
+Every two-sided ideal is M (x) J for a two-sided ideal J of C (M is
+central simple), and writing x = sum_A e_A * lambda_A, the ideal generated
+by x is M (x) (the ideal of C generated by the lambda_A).  In blade
+coordinates the core bits are the high bits, so lifting the RREF rows of
+J block by block, one block per M blade A, gives the RREF of M (x) J
+directly: a lifted row keeps the core pivot, and distinct A give
+distinct pivots.  When p+q <= 1, m = 0 and every map here is the
+identity.
+"""
+
+from __future__ import annotations
+
+from .blades import Signature, blade_mul
+from .linalg import Echelon
+from .structure import check_failed
+
+
+class CoreSplit:
+    """The splitting of one signature: the core signature and the blade maps."""
+
+    def __init__(self, sig: Signature):
+        self.sig = sig
+        self.shift = 2 * ((sig.p + sig.q) // 2)  # 2m: M's generators, bits below
+        self.omega = (1 << self.shift) - 1  # the mask of omega'
+        self.omega_square = blade_mul(sig, self.omega, self.omega)[0]
+        h = (sig.p + sig.q) - self.shift  # 1 iff h exists
+        h_square = self.omega_square * sig.square(self.shift) if h else 0
+        self.core = Signature(int(h_square > 0), int(h_square < 0), sig.z)
+        _check_twisted_relations(self)
+
+    def blade(self, a: int, b: int) -> tuple[int, int]:
+        """(sign, mask) with e_a * g_b = sign * e_mask.
+
+        a is a blade of M (a mask below bit 2m), b a blade of the core.
+        """
+        t = b.bit_count()
+        sign = self.omega_square if t & 2 else 1
+        if t & 1:
+            s, a = blade_mul(self.sig, a, self.omega)
+            sign *= s
+        return sign, a | (b << self.shift)
+
+    def components(self, terms: dict) -> list[dict]:
+        """The nonzero core terms lambda_A with x = sum_A e_A * lambda_A."""
+        parts: dict = {}
+        for x, c in terms.items():
+            a, b = self._block(x), x >> self.shift
+            sign, _ = self.blade(a, b)
+            parts.setdefault(a, {})[b] = c if sign > 0 else -c
+        return list(parts.values())
+
+    def lift(self, core_rows: list[dict]) -> Echelon:
+        """The echelon of M (x) J from the RREF rows of J.
+
+        Row y lifted through e_A is e_A * y, scaled so that its pivot,
+        the lift of y's pivot, has coefficient 1.
+        """
+        shift, omega, w = self.shift, self.omega, self.omega_square
+        a_signs = [blade_mul(self.sig, a, omega)[0] for a in range(1 << shift)]
+        rows = []
+        for row in core_rows:
+            t0 = min(row).bit_count()
+            terms = []
+            for b, c in row.items():
+                t = b.bit_count()
+                sign = w if (t ^ t0) & 2 else 1  # the two powers of omega'**2
+                terms.append((b << shift, c, -c, sign, (t ^ t0) & 1, t & 1))
+            for a, sa in enumerate(a_signs):
+                flipped = a ^ omega
+                lifted = {}
+                for high, c, neg, sign, odd, t_odd in terms:
+                    if odd and sa < 0:
+                        sign = -sign
+                    lifted[(flipped if t_odd else a) | high] = c if sign > 0 else neg
+                rows.append(lifted)
+        return Echelon.from_rref(rows)
+
+    def core_rows(self, rows: list[dict]) -> list[dict]:
+        """The core vectors y with e_0 * y a row of the given RREF, scaled to RREF.
+
+        For the RREF of M (x) J these are the RREF rows of J.  A row whose
+        pivot lies in block 0 but which leaves it raises SelfCheckError.
+        """
+        out = []
+        for row in rows:
+            pivot = min(row)
+            if self._block(pivot) != 0:
+                continue
+            scale = self.blade(0, pivot >> self.shift)[0]
+            y = {}
+            for x, c in row.items():
+                if self._block(x) != 0:
+                    raise check_failed(
+                        self.sig, "core_rows", f"row at pivot {pivot:#x} leaves block 0"
+                    )
+                b = x >> self.shift
+                sign = self.blade(0, b)[0] * scale
+                y[b] = c if sign > 0 else -c
+            out.append(y)
+        return out
+
+    def _block(self, x: int) -> int:
+        """The M blade A of the pair (A, b) that blade x stands for."""
+        a = x & self.omega
+        return a ^ self.omega if (x >> self.shift).bit_count() & 1 else a
+
+
+def _check_twisted_relations(split: CoreSplit) -> None:
+    """The relations that make the core blade map an isomorphism.
+
+    Each twisted generator (read off the map at A = 0) commutes with the
+    generators of M; products of two of them are what the map says for
+    the core blade they form, and reversing the pair flips the sign; each
+    squares to its core generator's square.
+    """
+    sig, core = split.sig, split.core
+
+    def fail(message):
+        return check_failed(sig, "core split", message)
+
+    twisted = [split.blade(0, 1 << j) for j in range(core.n)]
+    for j, (sj, gj) in enumerate(twisted):
+        for i in range(split.shift):
+            if blade_mul(sig, 1 << i, gj) != blade_mul(sig, gj, 1 << i):
+                raise fail(f"twisted generator g{j} does not commute with e{i}")
+        for k in range(j, core.n):
+            sk, gk = twisted[k]
+            sign, mask = blade_mul(sig, gj, gk)
+            reverse, _ = blade_mul(sig, gk, gj)
+            if k == j:
+                if (sign, mask) != (core.square(j), 0):
+                    raise fail(f"g{j}**2 = {sign}, expected {core.square(j)}")
+                continue
+            expected = split.blade(0, (1 << j) | (1 << k))
+            if (sj * sk * sign, mask) != expected or reverse != -sign:
+                raise fail(f"g{j}*g{k} disagrees with the core blade map")

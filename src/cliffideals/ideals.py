@@ -2,18 +2,25 @@
 
 An `Ideal` owns the reduced-row-echelon form of its span over the blade
 coordinates (ascending mask order).  Its one constructor runs the closure
-certificate, then takes the echelon's rows: g*v and v*g must reduce to
-zero against it for every generator g and row v, or SelfCheckError is
-raised.  So every `Ideal` is certified closed, and no uncertified one can
-exist.  Membership, equality, sums, products and intersections are exact
-rational linear algebra on that echelon, which nothing changes afterwards.
+certificate, then takes the echelon's rows: g*v and v*g must lie in the
+span for every generator g and row v, or SelfCheckError is raised.  So
+every `Ideal` is certified closed, and no uncertified one can exist.  A
+unit row (its pivot alone) has images +-one blade, which lies in the span
+exactly when it is the pivot of a unit row, so for those rows the
+certificate is a pivot lookup.  Membership, equality, sums, products and
+intersections are exact rational linear algebra on the echelon, which
+nothing changes afterwards.
 
-Closures are computed by generator saturation: every vector that
-enlarges the span is multiplied once by each algebra generator on the
-left and on the right, and the images go back into the echelon.  The
-generators generate the algebra, so the saturated span is the smallest
-two-sided ideal containing the input.  The oracle module re-derives
-closures independently, by its own fixpoint and by a blade-pair sweep.
+Closures run in the core algebra (see core.py): Cl(p,q,z) = M (x) C with
+M central simple and C = Cl(r,s,z), r+s <= 1, and every ideal is M (x) J
+for an ideal J of C.  A generator x = sum_A e_A * lambda_A contributes the
+lambda_A to J, which is computed by generator saturation in C: every
+vector that enlarges the span is multiplied once by each core generator
+on the left and on the right, and the images go back into the echelon.
+The RREF of M (x) J is then written block by block and certified in the
+full algebra.  When p+q <= 1 the core is the whole algebra and the lift
+is the identity.  The oracle module re-derives closures independently, by
+its own fixpoint and by a blade-pair sweep, in the full algebra.
 
 The null generators take the top z bits, so the nil radical is the blade
 tail at masks >= 2**(p+q), and the RREF rows of I with a pivot there are
@@ -29,9 +36,10 @@ from functools import cached_property, partial
 from itertools import combinations
 
 from .blades import Signature, blade_mul
+from .core import CoreSplit
 from .linalg import Echelon, intersect_spans
 from .multivector import Multivector, SignatureMismatchError, _check_same_sig
-from .structure import SelfCheckError, central_idempotents, is_split_signature
+from .structure import check_failed, central_idempotents, is_split_signature
 
 
 class IdealVerdict(enum.Enum):
@@ -128,19 +136,30 @@ def _blade_image(sig: Signature, mask: int, terms: dict, left: bool) -> dict:
     return out
 
 
-def _check_failed(sig: Signature, operation: str, message: str) -> SelfCheckError:
-    """A SelfCheckError that names the signature and the operation."""
-    return SelfCheckError(f"{operation} at signature {sig}: {message}")
-
-
 def _certify_closed(sig: Signature, ech: Echelon, context: str) -> None:
-    """Verify two-sided closure under generator multiplication."""
+    """Verify two-sided closure under generator multiplication.
+
+    For a unit row e_X, both images e_i*e_X and e_X*e_i are +-e_(X^bit i)
+    (or both zero when they share a null generator), and such a blade lies
+    in the span exactly when it is the pivot of a unit row.
+    """
+    null = sig.null_mask
+    units = ech.unit_pivots()
     for row in ech.rows():
+        if len(row) == 1:
+            (mask,) = row
+            for i in range(sig.n):
+                bit = 1 << i
+                if mask ^ bit not in units and not mask & bit & null:
+                    raise check_failed(
+                        sig, context, f"not closed under left multiplication by e{i}"
+                    )
+            continue
         for i in range(sig.n):
             for left in (True, False):
                 if not ech.contains(_blade_image(sig, 1 << i, row, left)):
                     side = "left" if left else "right"
-                    raise _check_failed(
+                    raise check_failed(
                         sig, context, f"not closed under {side} multiplication by e{i}"
                     )
 
@@ -168,15 +187,21 @@ def _saturate(sig: Signature, ech: Echelon, terms: dict) -> None:
 
 
 def ideal_closure(sig: Signature, gens) -> Ideal:
-    """Smallest two-sided ideal containing the generators."""
-    ech = Echelon()
+    """Smallest two-sided ideal containing the generators.
+
+    Saturates the core components of every generator in the core algebra
+    and lifts the core ideal J to M (x) J.
+    """
     gens = list(gens)
     for g in gens:
         if g.sig != sig:
             raise SignatureMismatchError(f"generator signature {g.sig} != {sig}")
+    split = CoreSplit(sig)
+    ech = Echelon()
     for g in gens:
-        _saturate(sig, ech, g.terms)
-    return Ideal(sig, ech, "ideal_closure")
+        for part in split.components(g.terms):
+            _saturate(split.core, ech, part)
+    return Ideal(sig, split.lift(ech.rows()), "ideal_closure")
 
 
 def zero_ideal(sig: Signature) -> Ideal:
@@ -245,7 +270,7 @@ def ideal_from_null_set(sig: Signature, null_indices) -> Ideal:
     expected = [m for m in range(sig.dim) if m & smask]
     rows = ideal._ech.rows()
     if [min(row) for row in rows] != expected or any(len(row) != 1 for row in rows):
-        raise _check_failed(
+        raise check_failed(
             sig, "ideal_from_null_set", f"ideal of null set {idx} is not its blade span"
         )
     return ideal
@@ -260,15 +285,10 @@ def nil_radical(sig: Signature) -> Ideal:
     ideal = ideal_from_null_set(sig, sig.null_indices())
     expected_dim = (1 << (sig.p + sig.q)) * ((1 << sig.z) - 1)
     if ideal.dim != expected_dim:
-        raise _check_failed(
+        raise check_failed(
             sig, "nil_radical", f"dim {ideal.dim}, expected {expected_dim}"
         )
     return ideal
-
-
-def jacobson_radical(sig: Signature) -> Ideal:
-    """The Jacobson radical, which coincides with the nil radical here."""
-    return nil_radical(sig)
 
 
 # -- classification ----------------------------------------------------
@@ -301,7 +321,7 @@ def ideal_classify(ideal: Ideal) -> ClassificationReport:
     ideal, with matching dimension).
     """
     sig = ideal.sig
-    fail = partial(_check_failed, sig, "ideal_classify")
+    fail = partial(check_failed, sig, "ideal_classify")
     start = 1 << (sig.p + sig.q)  # radical: blades at masks >= start
     inter = Ideal(sig, ideal._ech.copy(start), "ideal_classify")
     dims = (ideal.dim, inter.dim)
@@ -362,20 +382,40 @@ def prime_ideals(sig: Signature) -> list[Ideal]:
 # -- nilpotency --------------------------------------------------------
 
 
+def _core_ideal(ideal: Ideal) -> Ideal:
+    """The ideal J of the core algebra with ideal = M (x) J.
+
+    J's rows are read off the rows of block 0.  M (x) J then lies in the
+    ideal, and the dimension check proves equality.
+    """
+    split = CoreSplit(ideal.sig)
+    rows = split.core_rows(ideal._ech.rows())
+    core = Ideal(split.core, Echelon.from_rref(rows), "ideal_nilpotency_index")
+    if core.dim << split.shift != ideal.dim:
+        raise check_failed(
+            ideal.sig,
+            "ideal_nilpotency_index",
+            f"core ideal of dim {core.dim} does not lift to dim {ideal.dim}",
+        )
+    return core
+
+
 def ideal_nilpotency_index(ideal: Ideal):
     """Smallest n with ideal**n == 0, or None if none exists.
 
-    The search is bounded by z+1: a (z+1)-fold product of radical
-    elements repeats a null generator, so surviving that bound certifies
-    the None verdict.
+    With ideal = M (x) J, ideal**k = M (x) J**k, so the powers are taken
+    in the core.  The search is bounded by z+1: a (z+1)-fold product of
+    radical elements repeats a null generator, so surviving that bound
+    certifies the None verdict.
     """
-    bound = ideal.sig.z + 1
-    power = ideal
+    core = _core_ideal(ideal)
+    bound = core.sig.z + 1
+    power = core
     for k in range(1, bound + 1):
         if power.is_zero():
             return k
         if k <= bound - 1:
-            power = ideal_product(power, ideal)
+            power = ideal_product(power, core)
     return None
 
 
@@ -408,7 +448,7 @@ def null_support_of_ideal(ideal: Ideal) -> tuple[frozenset, frozenset]:
                 cmask |= 1 << i
             if all(kp & cmask for kp in kparts):
                 return canonical, frozenset(combo)
-    raise _check_failed(
+    raise check_failed(
         sig, "null_support_of_ideal", "hitting-set search failed on a nonempty support"
     )
 
@@ -424,11 +464,11 @@ def finite_generating_witness(ideal: Ideal) -> list[Multivector]:
     if not ideal.contained_in_radical():
         raise ValueError("generating witness is computed for nilpotent ideals only")
     kept: list[Multivector] = []
-    ech = Echelon()
+    span = zero_ideal(sig)
     for v in ideal.basis:
-        if not ech.contains(v.terms):
+        if not span.contains(v):
             kept.append(v)
-            _saturate(sig, ech, v.terms)
+            span = ideal_closure(sig, kept)
     i = 0
     while i < len(kept):
         rest = kept[:i] + kept[i + 1 :]
@@ -458,7 +498,7 @@ def descending_chain(sig: Signature, k: int) -> list[Ideal]:
         chain.append(ideal_closure(sig, [Multivector.blade(sig, mask)]))
     for big, small in zip(chain, chain[1:]):
         if not (big.contains_ideal(small) and small.dim < big.dim):
-            raise _check_failed(sig, "descending_chain", "not strictly decreasing")
+            raise check_failed(sig, "descending_chain", "not strictly decreasing")
     return chain
 
 
@@ -470,5 +510,5 @@ def ascending_chain(sig: Signature, k: int) -> list[Ideal]:
     chain = [ideal_from_null_set(sig, nulls[: i + 1]) for i in range(k)]
     for small, big in zip(chain, chain[1:]):
         if not (big.contains_ideal(small) and small.dim < big.dim):
-            raise _check_failed(sig, "ascending_chain", "not strictly increasing")
+            raise check_failed(sig, "ascending_chain", "not strictly increasing")
     return chain

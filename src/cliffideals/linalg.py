@@ -55,6 +55,28 @@ class Echelon:
     def pivots(self) -> list:
         return sorted(self._rows)
 
+    @classmethod
+    def from_rref(cls, rows: list[Vec]) -> "Echelon":
+        """An echelon holding rows that are already in RREF.
+
+        Checks, in one pass over the keys, that each row's pivot is its
+        smallest key with coefficient 1, that pivots are distinct and
+        that no row holds another row's pivot; raises ValueError if not.
+        """
+        out = cls()
+        by_pivot, cols = out._rows, out._cols
+        for row in rows:
+            pivot = min(row)
+            if row[pivot] != 1 or pivot in by_pivot:
+                raise ValueError(f"rows are not in RREF at pivot {pivot!r}")
+            by_pivot[pivot] = row
+            for k in row:
+                if k != pivot:
+                    cols.setdefault(k, set()).add(pivot)
+        if not cols.keys().isdisjoint(by_pivot):
+            raise ValueError("rows are not in RREF: a pivot key is held by another row")
+        return out
+
     def copy(self, start=0) -> "Echelon":
         """Row-wise copy of the rows whose pivot is >= start."""
         out = Echelon()
@@ -94,6 +116,14 @@ class Echelon:
 
     def contains(self, v: Vec) -> bool:
         return not self.reduce(v)
+
+    def unit_pivots(self) -> set:
+        """The keys whose unit vector lies in the span.
+
+        Those are exactly the pivots of unit rows: reducing the unit
+        vector at any other key leaves a nonzero residue.
+        """
+        return {p for p, row in self._rows.items() if len(row) == 1}
 
     def add(self, v: Vec) -> bool:
         """Insert v's residue; returns True if the rank grew.

@@ -13,6 +13,7 @@ tautology.  Size caps keep the brute force affordable.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .blades import Signature
 from .multivector import Multivector
@@ -26,6 +27,12 @@ def _check_cap(sig: Signature, cap: int, what: str) -> None:
         raise ValueError(f"{what} brute force is capped at {cap} generators")
 
 
+@cache
+def _squares(sig: Signature) -> tuple[int, ...]:
+    """The generator squares of a signature, read once from its roles."""
+    return tuple(sig.square(i) for i in range(sig.n))
+
+
 def oracle_blade_mul(sig: Signature, a: int, b: int) -> tuple[int, int]:
     """Blade product by bubble-sorting the concatenated index word.
 
@@ -35,8 +42,10 @@ def oracle_blade_mul(sig: Signature, a: int, b: int) -> tuple[int, int]:
     _check_cap(sig, _TABLE_CAP, "blade product")
     sig.check_blade(a)
     sig.check_blade(b)
-    word = [i for i in range(sig.n) if (a >> i) & 1]
-    word += [i for i in range(sig.n) if (b >> i) & 1]
+    squares = _squares(sig)
+    n = len(squares)
+    word = [i for i in range(n) if (a >> i) & 1]
+    word += [i for i in range(n) if (b >> i) & 1]
     sign = 1
     swapped = True
     while swapped:
@@ -50,7 +59,7 @@ def oracle_blade_mul(sig: Signature, a: int, b: int) -> tuple[int, int]:
     i = 0
     while i < len(word):
         if i + 1 < len(word) and word[i] == word[i + 1]:
-            sq = sig.square(word[i])
+            sq = squares[word[i]]
             if sq == 0:
                 return 0, 0
             sign *= sq

@@ -23,6 +23,11 @@ class SelfCheckError(RuntimeError):
     """An internally verified algebraic identity failed to hold."""
 
 
+def check_failed(sig: Signature, operation: str, message: str) -> SelfCheckError:
+    """A SelfCheckError that names the signature and the operation."""
+    return SelfCheckError(f"{operation} at signature {sig}: {message}")
+
+
 class AlgebraKind(enum.Enum):
     SIMPLE = "simple"
     SPLIT = "split"
@@ -80,12 +85,12 @@ def central_idempotents(sig: Signature) -> tuple[Multivector, Multivector]:
         e1 + e2 == one,
     )
     if not all(checks):
-        raise SelfCheckError(f"idempotent identities failed for signature {sig}")
+        raise check_failed(sig, "central_idempotents", "idempotent identities failed")
     for i in range(sig.p + sig.q):
         g = Multivector.generator(sig, i)
         if e1 * g != g * e1 or e2 * g != g * e2:
-            raise SelfCheckError(
-                f"idempotents fail to commute with generator e{i} ({sig})"
+            raise check_failed(
+                sig, "central_idempotents", f"idempotents fail to commute with e{i}"
             )
     return e1, e2
 

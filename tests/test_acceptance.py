@@ -20,7 +20,6 @@ from cliffideals import (
     central_idempotents,
     component_ideal,
     finite_generating_witness,
-    generator_square,
     ideal_classify,
     ideal_closure,
     ideal_from_null_set,
@@ -166,7 +165,7 @@ def test_criterion_1_generator_relations_and_associativity():
         for sig in sigs:
             for i in range(sig.n):
                 assert blade_mul(sig, 1 << i, 1 << i) == (
-                    generator_square(sig, i),
+                    sig.square(i),
                     0,
                 )
                 for j in range(i + 1, sig.n):

@@ -12,7 +12,6 @@ from cliffideals import (
     blade_mul,
     blade_parts,
     blade_str,
-    generator_square,
 )
 from cliffideals.oracle import oracle_blade_mul
 
@@ -55,18 +54,18 @@ class TestSignature:
         with pytest.raises(IndexError):
             sig.role(3)
         with pytest.raises(IndexError):
-            generator_square(sig, -1)
+            sig.square(-1)
 
 
 class TestGeneratorSquare:
     def test_plus(self):
-        assert generator_square(Signature(1, 1, 1), 0) == 1
+        assert Signature(1, 1, 1).square(0) == 1
 
     def test_minus(self):
-        assert generator_square(Signature(1, 1, 1), 1) == -1
+        assert Signature(1, 1, 1).square(1) == -1
 
     def test_null(self):
-        assert generator_square(Signature(1, 1, 1), 2) == 0
+        assert Signature(1, 1, 1).square(2) == 0
 
 
 class TestBladeMul:
@@ -144,7 +143,7 @@ def test_anticommutation_small_exhaustive():
 def test_squares_small_exhaustive():
     for sig in signatures_up_to(4):
         for i in range(sig.n):
-            expected = generator_square(sig, i)
+            expected = sig.square(i)
             coeff, mask = blade_mul(sig, 1 << i, 1 << i)
             assert coeff == expected
             assert mask == 0

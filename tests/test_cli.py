@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from cliffideals.cli import build_parser, main, run
 
@@ -119,8 +123,90 @@ def test_role_string_signature_relabels(capsys):
     assert report["result"]["relabeling"] == [1, 0]
 
 
+def test_double_dash_option_values_are_text(capsys):
+    # argparse hands the value "--" over as an empty list
+    assert main(["primes", "--signature=--", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["signature"] == "0,2,0"
+    assert main(["support", "-s", "1,1,1", "--gens=--"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_empty_gens_gives_zero_ideal(capsys):
     assert main(["ideal", "classify", "-s", "1,1,1", "--gens", "", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["verdict"] == "zero"
     assert report["result"]["dim"] == 0
+
+
+_VERBS = [
+    ["signature-info"],
+    ["eval"],
+    ["ideal", "classify"],
+    ["primes"],
+    ["radical"],
+    ["chains"],
+    ["nilpotency"],
+    ["support"],
+]
+_TOKENS = ["e0", "e1", "e2", "e7", "e", "1", "2", "1/2", "3/0",
+           "+", "-", "*", "/", "(", ")", ";", " ", "x"]
+_BAD_SIGNATURES = ["", "1,1", "-1,0,1", "a,b,c", "1,1,1,1", "+x", "17,0,0"]
+
+
+@st.composite
+def _signature_text(draw):
+    """(text, n): a valid signature with n <= 5 three times in four."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(_BAD_SIGNATURES)), 1
+    n = draw(st.integers(1, 5))
+    p = draw(st.integers(0, n))
+    q = draw(st.integers(0, n - p))
+    if draw(st.booleans()):
+        return f"{p},{q},{n - p - q}", n
+    roles = ["+"] * p + ["-"] * q + ["0"] * (n - p - q)
+    return "".join(draw(st.permutations(roles))), n
+
+
+@st.composite
+def _expression_text(draw, n):
+    """A signed sum of generator products, or a random token string."""
+    if draw(st.integers(0, 3)) == 0:
+        return "".join(draw(st.lists(st.sampled_from(_TOKENS), max_size=8)))
+    gens = st.lists(st.integers(0, n - 1).map("e{}".format), min_size=1, max_size=3)
+    signs = st.sampled_from([" + ", " - "])
+    coeffs = st.sampled_from(["", "2*", "1/2*", "3*"])
+    terms = draw(st.lists(st.tuples(signs, coeffs, gens), min_size=1, max_size=3))
+    return "".join(s + c + "*".join(g) for s, c, g in terms)[1:]
+
+
+@st.composite
+def _argv(draw):
+    verb = draw(st.sampled_from(_VERBS))
+    text, n = draw(_signature_text())
+    argv = verb + [f"--signature={text}"]
+    if verb == ["eval"]:
+        argv.append(draw(_expression_text(n)))
+    elif verb[-1] in ("classify", "nilpotency", "support"):
+        gens = draw(st.lists(_expression_text(n), min_size=1, max_size=2))
+        argv += ["--gens", "; ".join(gens)]
+    elif verb == ["chains"]:
+        argv += ["--k", str(draw(st.integers(-1, 6)))]
+        argv += draw(st.sampled_from([[], ["--ascending"], ["--descending"]]))
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    # every verb on small signatures, short expressions and malformed
+    # text: an exit code of 0, 2 or 3 and never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -83,3 +84,27 @@ def test_copy_and_take_carry_consistent_indexes(first, start, more_copy, more_ta
     assert taken.rows() == naive_rref(rows + more_taken)
     fill(ech, more_copy)
     assert ech.rows() == naive_rref(more_copy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vecs=vector_lists)
+def test_from_rref_rebuilds_the_index_and_unit_lookup_matches_contains(vecs):
+    ech = Echelon()
+    fill(ech, vecs)
+    rebuilt = Echelon.from_rref([dict(row) for row in ech.rows()])
+    check_echelon(rebuilt)
+    assert rebuilt.rows() == ech.rows()
+    units = ech.unit_pivots()
+    for key in range(KEYS):
+        assert (key in units) == ech.contains({key: Fraction(1)})
+
+
+def test_from_rref_refuses_rows_not_in_rref():
+    one, two = Fraction(1), Fraction(2)
+    for rows in (
+        [{0: two, 1: one}],  # pivot not normalised
+        [{0: one}, {0: one, 1: one}],  # repeated pivot
+        [{0: one, 1: one}, {1: one}],  # a row holds another row's pivot
+    ):
+        with pytest.raises(ValueError, match="RREF"):
+            Echelon.from_rref(rows)

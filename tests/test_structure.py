@@ -6,6 +6,7 @@ import pytest
 from cliffideals import (
     AlgebraKind,
     Multivector,
+    SelfCheckError,
     Signature,
     central_idempotents,
     classify_pq,
@@ -14,6 +15,7 @@ from cliffideals import (
     is_split_signature,
     nil_radical,
     split_decompose,
+    structure,
     volume_element,
 )
 
@@ -185,3 +187,25 @@ def test_component_closures_absorb_radical():
     radical = nil_radical(sig)
     assert c1.contains_ideal(radical)
     assert c1.dim == 1 + radical.dim
+
+
+@pytest.mark.parametrize(
+    "fake, failure",
+    [
+        (
+            lambda sig: Multivector.blade(sig, 0b011, 2),
+            "idempotent identities failed",
+        ),
+        # e0 squares to 1, so (1 +- e0)/2 are orthogonal idempotents, but
+        # they do not commute with e1
+        (
+            lambda sig: Multivector.generator(sig, 0),
+            "idempotents fail to commute with e1",
+        ),
+    ],
+)
+def test_central_idempotent_failures_name_signature(monkeypatch, fake, failure):
+    monkeypatch.setattr(structure, "volume_element", fake)
+    with pytest.raises(SelfCheckError) as caught:
+        central_idempotents(Signature(2, 1, 1))
+    assert str(caught.value) == f"central_idempotents at signature 2,1,1: {failure}"
