@@ -106,35 +106,44 @@ class Signature:
         return f"{self.p},{self.q},{self.z}"
 
 
-def blade_mul(sig: Signature, a: int, b: int) -> tuple[int, int]:
-    """Product of two basis blades in canonical form.
+def sign_mask(sig: Signature, b: int) -> int:
+    """The left-hand bits whose count decides the sign of a product with e_b.
 
-    Returns (coefficient, blade mask) with coefficient in {+1, -1, 0}.
-    The sign is (-1)**inversions, where `inversions` counts the pairs
-    (x in a, y in b) with x > y -- exactly the adjacent transpositions a
-    merge of the two ascending index lists performs -- times the squares
-    of the repeated generators.  The coefficient is 0 precisely when the
-    blades share a null generator.  Annihilated products are normalised
-    to (0, 0).
+    For blades a and b that share no null generator, e_a * e_b is
+    (-1)**popcount(a & sign_mask(sig, b)) * e_(a^b).  The sign is
+    (-1)**inversions, where `inversions` counts the pairs (x in a,
+    y in b) with x > y -- exactly the adjacent transpositions a merge of
+    the two ascending index lists performs -- times the squares of the
+    repeated generators.  Bit x of the mask is therefore the parity of
+    the b-bits below x, flipped when x is a minus generator of b.
 
-    Only the parity of `inversions` matters.  Bit x of the prefix parity
-    s of b is the parity of the b-bits below x: s starts as b << 1 and
-    folds itself in by shifts of 1, 2, 4 and 8, which reach across the
-    16 bits of GENERATOR_CAP.  The parity is then popcount(a & s) mod 2.
+    The prefix parity s of b starts as b << 1 and folds itself in by
+    shifts of 1, 2, 4 and 8, which reach across the 16 bits of
+    GENERATOR_CAP.
     """
-    full = sig.full_mask
-    if not (0 <= a <= full and 0 <= b <= full):
-        sig.check_blade(a)
-        sig.check_blade(b)
-    shared = a & b
-    if shared & sig.null_mask:
-        return 0, 0
     s = b << 1
     s ^= s << 1
     s ^= s << 2
     s ^= s << 4
     s ^= s << 8
-    if ((a & s).bit_count() ^ (shared & sig.minus_mask).bit_count()) & 1:
+    return s ^ (b & sig.minus_mask)
+
+
+def blade_mul(sig: Signature, a: int, b: int) -> tuple[int, int]:
+    """Product of two basis blades in canonical form.
+
+    Returns (coefficient, blade mask) with coefficient in {+1, -1, 0}; the
+    sign is read off `sign_mask`.  The coefficient is 0 precisely when
+    the blades share a null generator.  Annihilated products are
+    normalised to (0, 0).
+    """
+    full = sig.full_mask
+    if not (0 <= a <= full and 0 <= b <= full):
+        sig.check_blade(a)
+        sig.check_blade(b)
+    if a & b & sig.null_mask:
+        return 0, 0
+    if (a & sign_mask(sig, b)).bit_count() & 1:
         return -1, a ^ b
     return 1, a ^ b
 

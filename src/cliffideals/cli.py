@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -294,9 +295,17 @@ def main(argv=None) -> int:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        text = json.dumps(report, indent=2, sort_keys=True)
     else:
-        print(render_text(report))
+        text = render_text(report)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (`| head`): not an error.  The
+        # unwritten rest stays buffered, so point the descriptor at
+        # devnull, or the flush at interpreter exit raises again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

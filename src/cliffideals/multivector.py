@@ -5,14 +5,23 @@ Fraction coefficients, stored as a mask -> Fraction map with no zero
 entries.  All arithmetic is exact, so every algebraic identity in the
 test suite is an equality, not an approximation.  Values are immutable
 after construction.
+
+Coefficients are Fractions at the API only.  A product works over
+integer numerators: each operand is scaled by the lcm of its
+denominators, the term products accumulate as ints, and each output
+coefficient becomes a Fraction once, over the product of the two
+denominators.  Powers of integer elements, whose numerators grow to
+hundreds of digits, thus never pay a gcd per term pair.  A value keeps
+its integer form as a right-hand factor once computed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 
-from .blades import Signature, blade_str
+from .blades import Signature, blade_str, sign_mask
 
 
 class SignatureMismatchError(ValueError):
@@ -24,10 +33,18 @@ def _check_same_sig(a, b) -> None:  # any two objects with a .sig
         raise SignatureMismatchError(f"signature mismatch: {a.sig} vs {b.sig}")
 
 
+def _denominator(terms: dict) -> int:
+    """The lcm of the coefficients' denominators (1 for no terms)."""
+    d = 1
+    for c in terms.values():
+        d = lcm(d, c.denominator)
+    return d
+
+
 class Multivector:
     """Immutable sparse rational multivector."""
 
-    __slots__ = ("sig", "_terms")
+    __slots__ = ("sig", "_terms", "_rows")
 
     def __init__(self, sig: Signature, terms=None):
         self.sig = sig
@@ -39,6 +56,7 @@ class Multivector:
                 if c:
                     clean[mask] = c
         self._terms = clean
+        self._rows = None
 
     # -- constructors -------------------------------------------------
 
@@ -49,6 +67,7 @@ class Multivector:
         mv = object.__new__(cls)
         object.__setattr__(mv, "sig", sig)
         object.__setattr__(mv, "_terms", terms)
+        object.__setattr__(mv, "_rows", None)
         return mv
 
     @classmethod
@@ -117,50 +136,60 @@ class Multivector:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Rational):
-            c = Fraction(other)
-            if not c:
-                return Multivector._raw(self.sig, {})
-            return Multivector._raw(
-                self.sig, {m: v * c for m, v in self._terms.items()}
-            )
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        _check_same_sig(self, other)
-        # the blade_mul sign rule, inlined for the hot path in its loop
-        # form: the same inversion parity that blade_mul reads off a
-        # prefix-parity mask (agreement with blade_mul and the
-        # bubble-sort oracle is tested exhaustively)
+        # Multivector first: the Rational ABC check is the slow one
+        if type(other) is not Multivector:
+            if isinstance(other, Rational):
+                c = Fraction(other)
+                if not c:
+                    return Multivector._raw(self.sig, {})
+                return Multivector._raw(
+                    self.sig, {m: v * c for m, v in self._terms.items()}
+                )
+            if not isinstance(other, Multivector):
+                return NotImplemented
         sig = self.sig
-        nullmask = sig.null_mask
-        minusmask = sig.minus_mask
-        other_terms = other._terms
-        out: dict[int, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other_terms.items():
-                shared = ma & mb
-                if shared & nullmask:
+        if other.sig is not sig:
+            _check_same_sig(self, other)
+        # Over integer numerators: self and other are maps of ints over
+        # the common denominators da and db.  The term products accumulate
+        # as ints per output blade, and each sum is divided by da*db once.
+        left = self._terms
+        da = _denominator(left)
+        db, rows = other._factor_rows()
+        acc: dict[int, int] = {}
+        for ma, c in left.items():
+            na = c.numerator * (da // c.denominator)
+            for mb, nb, null, flip in rows:
+                if ma & null:
                     continue
-                swaps = 0
-                t = ma >> 1
-                while t:
-                    swaps += (t & mb).bit_count()
-                    t >>= 1
-                if (swaps ^ (shared & minusmask).bit_count()) & 1:
-                    c = -ca * cb
-                else:
-                    c = ca * cb
                 mask = ma ^ mb
-                acc = out.get(mask)
-                if acc is None:
-                    out[mask] = c
+                if (ma & flip).bit_count() & 1:
+                    acc[mask] = acc.get(mask, 0) - na * nb
                 else:
-                    acc = acc + c
-                    if acc:
-                        out[mask] = acc
-                    else:
-                        del out[mask]
-        return Multivector._raw(sig, out)
+                    acc[mask] = acc.get(mask, 0) + na * nb
+        d = da * db
+        return Multivector._raw(sig, {m: Fraction(v, d) for m, v in acc.items() if v})
+
+    def _factor_rows(self) -> tuple[int, list]:
+        """(d, rows) for this value as a right-hand factor.
+
+        d is the lcm of the denominators; each term gives (mask,
+        d * coefficient, the mask's null bits, sign_mask(mask)).  A pair
+        vanishes when the left blade meets the null bits; otherwise the
+        parity of left blade & sign mask is its sign.  Computed on the
+        first product and kept, since a value never changes and factors
+        such as an ideal's basis vectors or a powered element are reused.
+        """
+        rows = self._rows
+        if rows is None:
+            sig = self.sig
+            d = _denominator(self._terms)
+            nullmask = sig.null_mask
+            rows = self._rows = (d, [
+                (m, c.numerator * (d // c.denominator), m & nullmask, sign_mask(sig, m))
+                for m, c in self._terms.items()
+            ])
+        return rows
 
     def __rmul__(self, other):
         if isinstance(other, Rational):

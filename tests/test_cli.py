@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from cliffideals.cli import build_parser, main, run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 GOLDEN_CASES = {
     "signature-info_111": ["signature-info", "-s", "1,1,1"],
@@ -210,3 +214,23 @@ def test_fuzzed_argv_exits_cleanly(argv):
             code = exc.code
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def test_closed_stdout_exits_cleanly():
+    # the n = 12 radical report (about 112 KB) is larger than a pipe
+    # buffer, so its write meets the pipe after the reader closed it
+    path = [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cliffideals", "radical", "-s", "5,2,5", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0, err
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "Traceback" not in err

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
-from cliffideals import Multivector, Signature, SignatureMismatchError
-from cliffideals.oracle import DenseTable, from_dense, to_dense
+from cliffideals import Multivector, Signature, SignatureMismatchError, blade_mul
+from cliffideals.oracle import DenseTable, _dict_mul, from_dense, to_dense
 
 from helpers import random_multivector, sig_and_multivector, signatures_up_to
 
@@ -60,6 +61,29 @@ class TestMul:
         u = mv(S111, {1: 2})
         assert u * Fraction(1, 2) == Multivector.generator(S111, 0)
         assert 3 * u == mv(S111, {1: 6})
+        assert mv(S111, {0: 1, 1: Fraction(1, 3)}) * Fraction(3, 2) == mv(
+            S111, {0: Fraction(3, 2), 1: Fraction(1, 2)}
+        )
+        assert 0 * u == Multivector.zero(S111)
+
+    def test_non_rational_operand_is_not_implemented(self):
+        u = mv(S111, {1: 2})
+        for other in (1.5, "e0", None):
+            assert u.__mul__(other) is NotImplemented
+            assert u.__rmul__(other) is NotImplemented
+            with pytest.raises(TypeError):
+                u * other
+
+    def test_signature_mismatch(self):
+        u = Multivector.generator(S111, 0)
+        other = Multivector.generator(Signature(1, 0, 0), 0)
+        with pytest.raises(
+            SignatureMismatchError, match=r"^signature mismatch: 1,1,1 vs 1,0,0$"
+        ):
+            u * other
+        # an equal signature that is a different object is no mismatch
+        same = Multivector.generator(Signature(1, 1, 1), 0)
+        assert u * same == Multivector.scalar(S111, 1)
 
 
 class TestRadicalSplit:
@@ -247,3 +271,61 @@ def test_equality_and_hash(pair):
     again = Multivector(sig, dict(u.terms))
     assert u == again
     assert hash(u) == hash(again)
+
+
+def _blade_sum(sig, a, b):
+    """u*v as the term-by-term sum of blade products."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            s, m = blade_mul(sig, ma, mb)
+            if s:
+                out[m] = out.get(m, 0) + s * ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _reference_product(sig, a, b):
+    # the bubble-sort oracle where its cap allows, blade_mul beyond it
+    return _dict_mul(sig, a, b) if sig.n <= 10 else _blade_sum(sig, a, b)
+
+
+@st.composite
+def _cancelling_operands(draw):
+    """(sig, u, v): up to 12 terms each, numerators above 2**64 over
+    denominators 1..12, and u adjusted so that the coefficient of
+    e_ma*e_mb in u*v cancels to 0 although that pair contributes."""
+    n = draw(st.integers(1, 16))
+    p = draw(st.integers(0, n))
+    q = draw(st.integers(0, n - p))
+    sig = Signature(p, q, n - p - q)
+    null = sig.null_mask
+    masks = st.integers(0, sig.dim - 1)
+    coeffs = st.builds(
+        Fraction,
+        st.integers(2**68, 2**72) | st.integers(-(2**72), -(2**68)),
+        st.integers(1, 12),
+    )
+    u = draw(st.dictionaries(masks, coeffs, min_size=1, max_size=11))
+    v = draw(st.dictionaries(masks, coeffs, min_size=0, max_size=10))
+    # mb2 brings e_k (k = ma^mb^mb2) onto the same output blade; its null
+    # bits must lie in that blade's, or e_k*e_mb2 vanishes
+    ma = next(iter(u))
+    mb = draw(masks) & ~(ma & null)
+    mb2 = draw(masks) & (~null | (ma ^ mb))
+    assume(mb != mb2)
+    v[mb], v[mb2] = draw(coeffs), draw(coeffs)
+    target, k = ma ^ mb, ma ^ mb ^ mb2
+    sign, _ = blade_mul(sig, k, mb2)
+    u[k] = u.get(k, 0) - _reference_product(sig, u, v).get(target, 0) / (sign * v[mb2])
+    return sig, Multivector(sig, u), Multivector(sig, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cancelling_operands())
+def test_product_kernel_matches_reference(case):
+    sig, u, v = case
+    product = (u * v).terms
+    assert product == _reference_product(sig, u.terms, v.terms)
+    assert all(type(c) is Fraction and c for c in product.values())
+    # again, with v's factor rows kept from the first product
+    assert (u * v).terms == product
