@@ -22,7 +22,7 @@ from cliffideals import (
 
 
 def survey(sig: Signature) -> str:
-    algebra_class = classify_pq(sig).kind.value
+    algebra_class = classify_pq(sig).value
     radical = nil_radical(sig)
     primes = [ideal.dim for ideal in prime_ideals(sig)]
     verdicts = Counter(

@@ -7,11 +7,8 @@ background and the CLI.
 
 from .blades import (
     GENERATOR_CAP,
-    GeneratorRole,
     Signature,
-    blade_grade,
     blade_mul,
-    blade_parts,
     blade_str,
 )
 from .ideals import (
@@ -38,7 +35,6 @@ from .ideals import (
 from .multivector import Multivector, SignatureMismatchError
 from .parsing import ExprSyntaxError, parse_expression, parse_signature
 from .structure import (
-    AlgebraClass,
     AlgebraKind,
     SelfCheckError,
     central_idempotents,
@@ -52,15 +48,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GENERATOR_CAP",
-    "GeneratorRole",
     "Signature",
-    "blade_grade",
     "blade_mul",
-    "blade_parts",
     "blade_str",
     "Multivector",
     "SignatureMismatchError",
-    "AlgebraClass",
     "AlgebraKind",
     "SelfCheckError",
     "central_idempotents",

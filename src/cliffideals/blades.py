@@ -11,22 +11,11 @@ The 2**(p+q+z) blades form a linear basis of the algebra.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 
 # Hard cap on p+q+z so 2**(p+q+z) blade masks stay addressable.
 GENERATOR_CAP = 16
-
-
-class GeneratorRole(enum.Enum):
-    PLUS = 1
-    MINUS = -1
-    NULL = 0
-
-    @property
-    def square(self) -> int:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -58,10 +47,6 @@ class Signature:
         return 1 << self.n
 
     @cached_property
-    def plus_mask(self) -> int:
-        return (1 << self.p) - 1
-
-    @cached_property
     def minus_mask(self) -> int:
         return ((1 << self.q) - 1) << self.p
 
@@ -73,17 +58,12 @@ class Signature:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def role(self, index: int) -> GeneratorRole:
-        self._check_index(index)
-        if index < self.p:
-            return GeneratorRole.PLUS
-        if index < self.p + self.q:
-            return GeneratorRole.MINUS
-        return GeneratorRole.NULL
-
     def square(self, index: int) -> int:
         """Square of generator `index`: +1, -1 or 0."""
-        return self.role(index).square
+        self._check_index(index)
+        if index < self.p:
+            return 1
+        return -1 if index < self.p + self.q else 0
 
     def null_indices(self) -> range:
         return range(self.p + self.q, self.n)
@@ -146,21 +126,6 @@ def blade_mul(sig: Signature, a: int, b: int) -> tuple[int, int]:
     if (a & sign_mask(sig, b)).bit_count() & 1:
         return -1, a ^ b
     return 1, a ^ b
-
-
-def blade_parts(sig: Signature, mask: int) -> tuple[frozenset, frozenset, frozenset]:
-    """Split a blade's index set by generator role: (plus, minus, null)."""
-    sig.check_blade(mask)
-    members = [i for i in range(sig.n) if (mask >> i) & 1]
-    return (
-        frozenset(i for i in members if i < sig.p),
-        frozenset(i for i in members if sig.p <= i < sig.p + sig.q),
-        frozenset(i for i in members if i >= sig.p + sig.q),
-    )
-
-
-def blade_grade(mask: int) -> int:
-    return mask.bit_count()
 
 
 def blade_str(mask: int) -> str:

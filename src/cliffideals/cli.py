@@ -27,7 +27,7 @@ from .ideals import (
 )
 from .multivector import Multivector
 from .parsing import parse_expression, parse_signature
-from .structure import AlgebraKind, SelfCheckError, classify_pq
+from .structure import AlgebraKind, SelfCheckError, central_idempotents, classify_pq
 
 
 class _Text(argparse.Action):
@@ -126,7 +126,7 @@ def _ideal_payload(ideal) -> dict:
 
 
 def _run_signature_info(sig, relabel) -> dict:
-    algebra_class = classify_pq(sig)
+    kind = classify_pq(sig)
     radical = nil_radical(sig)
     result = {
         "p": sig.p,
@@ -134,14 +134,13 @@ def _run_signature_info(sig, relabel) -> dict:
         "z": sig.z,
         "dim": sig.dim,
         "roles": "+" * sig.p + "-" * sig.q + "0" * sig.z,
-        "class": algebra_class.kind.value,
+        "class": kind.value,
         "radical_dim": radical.dim,
         "relabeling": list(relabel),
         "idempotents": None,
     }
-    if algebra_class.kind is AlgebraKind.SPLIT:
-        e1, e2 = algebra_class.idempotents
-        result["idempotents"] = [str(e1), str(e2)]
+    if kind is AlgebraKind.SPLIT:
+        result["idempotents"] = [str(e) for e in central_idempotents(sig)]
     return result
 
 

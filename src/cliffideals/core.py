@@ -21,8 +21,9 @@ by x is M (x) (the ideal of C generated by the lambda_A).  In blade
 coordinates the core bits are the high bits, so lifting the RREF rows of
 J block by block, one block per M blade A, gives the RREF of M (x) J
 directly: a lifted row keeps the core pivot, and distinct A give
-distinct pivots.  When p+q <= 1, m = 0 and every map here is the
-identity.
+distinct pivots.  `components` is the one inverse map: it reads J back
+off the rows of M (x) J whose pivot lies in block 0.  When p+q <= 1,
+m = 0 and every map here is the identity.
 """
 
 from __future__ import annotations
@@ -91,30 +92,6 @@ class CoreSplit:
                     lifted[(flipped if t_odd else a) | high] = c if sign > 0 else neg
                 rows.append(lifted)
         return Echelon.from_rref(rows)
-
-    def core_rows(self, rows: list[dict]) -> list[dict]:
-        """The core vectors y with e_0 * y a row of the given RREF, scaled to RREF.
-
-        For the RREF of M (x) J these are the RREF rows of J.  A row whose
-        pivot lies in block 0 but which leaves it raises SelfCheckError.
-        """
-        out = []
-        for row in rows:
-            pivot = min(row)
-            if self._block(pivot) != 0:
-                continue
-            scale = self.blade(0, pivot >> self.shift)[0]
-            y = {}
-            for x, c in row.items():
-                if self._block(x) != 0:
-                    raise check_failed(
-                        self.sig, "core_rows", f"row at pivot {pivot:#x} leaves block 0"
-                    )
-                b = x >> self.shift
-                sign = self.blade(0, b)[0] * scale
-                y[b] = c if sign > 0 else -c
-            out.append(y)
-        return out
 
     def _block(self, x: int) -> int:
         """The M blade A of the pair (A, b) that blade x stands for."""

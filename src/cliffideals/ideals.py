@@ -190,7 +190,8 @@ def ideal_closure(sig: Signature, gens) -> Ideal:
     """Smallest two-sided ideal containing the generators.
 
     Saturates the core components of every generator in the core algebra
-    and lifts the core ideal J to M (x) J.
+    and lifts the core ideal J to M (x) J.  Each generator must then lie
+    in the certified result, or SelfCheckError is raised.
     """
     gens = list(gens)
     for g in gens:
@@ -201,7 +202,13 @@ def ideal_closure(sig: Signature, gens) -> Ideal:
     for g in gens:
         for part in split.components(g.terms):
             _saturate(split.core, ech, part)
-    return Ideal(sig, split.lift(ech.rows()), "ideal_closure")
+    ideal = Ideal(sig, split.lift(ech.rows()), "ideal_closure")
+    for i, g in enumerate(gens):
+        if not ideal._ech.contains(g.terms):
+            raise check_failed(
+                sig, "ideal_closure", f"generator {i} is not in the closure"
+            )
+    return ideal
 
 
 def zero_ideal(sig: Signature) -> Ideal:
@@ -215,11 +222,11 @@ def whole_algebra(sig: Signature) -> Ideal:
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     """Span of both ideals (a sum of ideals is one).
 
-    Starts from a copy of the larger echelon and inserts the other's rows.
+    Starts from a copy of the larger echelon's rows and inserts the other's.
     """
     _check_same_sig(a, b)
     big, small = (a, b) if a.dim >= b.dim else (b, a)
-    ech = big._ech.copy()
+    ech = Echelon.from_rref([dict(row) for row in big._ech.rows()])
     for row in small._ech.rows():
         ech.add(row)
     return Ideal(a.sig, ech, "ideal_sum")
@@ -323,7 +330,8 @@ def ideal_classify(ideal: Ideal) -> ClassificationReport:
     sig = ideal.sig
     fail = partial(check_failed, sig, "ideal_classify")
     start = 1 << (sig.p + sig.q)  # radical: blades at masks >= start
-    inter = Ideal(sig, ideal._ech.copy(start), "ideal_classify")
+    rad_rows = [dict(row) for row in ideal._ech.rows() if min(row) >= start]
+    inter = Ideal(sig, Echelon.from_rref(rad_rows), "ideal_classify")
     dims = (ideal.dim, inter.dim)
     if ideal.dim == 0:
         return ClassificationReport(IdealVerdict.ZERO, inter, dims)
@@ -385,12 +393,19 @@ def prime_ideals(sig: Signature) -> list[Ideal]:
 def _core_ideal(ideal: Ideal) -> Ideal:
     """The ideal J of the core algebra with ideal = M (x) J.
 
-    J's rows are read off the rows of block 0.  M (x) J then lies in the
-    ideal, and the dimension check proves equality.
+    Each RREF row of the ideal with its pivot in block 0 is e_0 * y for
+    an RREF row y of J, so J is read off as the span of those rows' core
+    components.  Any row x generates M (x) (the ideal of its components),
+    so M (x) J lies in the ideal whatever the rows hold, and the dimension
+    check proves equality; a row that left block 0 and enlarged J fails it.
     """
     split = CoreSplit(ideal.sig)
-    rows = split.core_rows(ideal._ech.rows())
-    core = Ideal(split.core, Echelon.from_rref(rows), "ideal_nilpotency_index")
+    ech = Echelon()
+    for row in ideal._ech.rows():
+        if not split._block(min(row)):
+            for part in split.components(row):
+                ech.add(part)
+    core = Ideal(split.core, ech, "ideal_nilpotency_index")
     if core.dim << split.shift != ideal.dim:
         raise check_failed(
             ideal.sig,

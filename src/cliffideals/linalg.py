@@ -23,10 +23,6 @@ from fractions import Fraction
 Vec = dict
 
 
-def vec_scale(v: Vec, c: Fraction) -> Vec:
-    return {k: c * x for k, x in v.items()}
-
-
 def vec_sub_scaled(v: Vec, row: Vec, c: Fraction) -> None:
     """In place: v -= c * row."""
     for k, x in row.items():
@@ -75,17 +71,6 @@ class Echelon:
                     cols.setdefault(k, set()).add(pivot)
         if not cols.keys().isdisjoint(by_pivot):
             raise ValueError("rows are not in RREF: a pivot key is held by another row")
-        return out
-
-    def copy(self, start=0) -> "Echelon":
-        """Row-wise copy of the rows whose pivot is >= start."""
-        out = Echelon()
-        out._rows = {p: dict(row) for p, row in self._rows.items() if p >= start}
-        cols = out._cols
-        for p, row in out._rows.items():
-            for k in row:
-                if k != p:
-                    cols.setdefault(k, set()).add(p)
         return out
 
     def take(self) -> "Echelon":
@@ -138,7 +123,7 @@ class Echelon:
         pivot = min(red)
         lead = red[pivot]
         if lead != 1:
-            red = vec_scale(red, Fraction(1, 1) / lead)
+            red = {k: x / lead for k, x in red.items()}
         rows, cols = self._rows, self._cols
         tail = [(k, x) for k, x in red.items() if k != pivot]
         for k, _ in tail:

@@ -168,6 +168,8 @@ class Multivector:
                 else:
                     acc[mask] = acc.get(mask, 0) + na * nb
         d = da * db
+        if d == 1:  # Fraction(v, 1) would run a gcd per coefficient
+            return Multivector._raw(sig, {m: Fraction(v) for m, v in acc.items() if v})
         return Multivector._raw(sig, {m: Fraction(v, d) for m, v in acc.items() if v})
 
     def _factor_rows(self) -> tuple[int, list]:

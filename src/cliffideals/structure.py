@@ -12,7 +12,6 @@ omega**2 = +1.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .blades import Signature
@@ -33,16 +32,6 @@ class AlgebraKind(enum.Enum):
     SPLIT = "split"
 
 
-@dataclass(frozen=True)
-class AlgebraClass:
-    kind: AlgebraKind
-    idempotents: tuple[Multivector, Multivector] | None = None
-
-    @property
-    def is_split(self) -> bool:
-        return self.kind is AlgebraKind.SPLIT
-
-
 def is_split_signature(sig: Signature) -> bool:
     return (sig.p - sig.q) % 8 in (1, 5)
 
@@ -53,11 +42,12 @@ def volume_element(sig: Signature) -> Multivector:
     return Multivector.blade(sig, mask)
 
 
-def classify_pq(sig: Signature) -> AlgebraClass:
-    """Classify the non-degenerate subalgebra as simple or split."""
-    if not is_split_signature(sig):
-        return AlgebraClass(AlgebraKind.SIMPLE)
-    return AlgebraClass(AlgebraKind.SPLIT, central_idempotents(sig))
+def classify_pq(sig: Signature) -> AlgebraKind:
+    """Classify the non-degenerate subalgebra as simple or split.
+
+    The split witness is `central_idempotents(sig)`.
+    """
+    return AlgebraKind.SPLIT if is_split_signature(sig) else AlgebraKind.SIMPLE
 
 
 def central_idempotents(sig: Signature) -> tuple[Multivector, Multivector]:

@@ -6,11 +6,8 @@ import hypothesis.strategies as st
 
 from cliffideals import (
     GENERATOR_CAP,
-    GeneratorRole,
     Signature,
-    blade_grade,
     blade_mul,
-    blade_parts,
     blade_str,
 )
 from cliffideals.oracle import oracle_blade_mul
@@ -21,18 +18,18 @@ from helpers import signatures_up_to
 class TestSignature:
     def test_role_partition(self):
         sig = Signature(2, 3, 1)
-        roles = [sig.role(i) for i in range(sig.n)]
-        assert roles.count(GeneratorRole.PLUS) == 2
-        assert roles.count(GeneratorRole.MINUS) == 3
-        assert roles.count(GeneratorRole.NULL) == 1
-        assert roles == sorted(roles, key=lambda r: [1, -1, 0].index(r.square))
+        squares = [sig.square(i) for i in range(sig.n)]
+        assert squares.count(1) == 2
+        assert squares.count(-1) == 3
+        assert squares.count(0) == 1
+        assert squares == sorted(squares, key=[1, -1, 0].index)
 
     def test_canonical_blocks(self):
         sig = Signature(1, 2, 3)
-        assert sig.role(0) is GeneratorRole.PLUS
-        assert sig.role(1) is GeneratorRole.MINUS
-        assert sig.role(2) is GeneratorRole.MINUS
-        assert all(sig.role(i) is GeneratorRole.NULL for i in range(3, 6))
+        assert sig.square(0) == 1
+        assert sig.square(1) == -1
+        assert sig.square(2) == -1
+        assert all(sig.square(i) == 0 for i in range(3, 6))
         assert list(sig.null_indices()) == [3, 4, 5]
 
     def test_dim(self):
@@ -52,7 +49,7 @@ class TestSignature:
     def test_index_errors(self):
         sig = Signature(1, 1, 1)
         with pytest.raises(IndexError):
-            sig.role(3)
+            sig.square(3)
         with pytest.raises(IndexError):
             sig.square(-1)
 
@@ -100,24 +97,31 @@ class TestBladeMul:
             blade_mul(sig, 0b10, 0b01)
 
 
+def role_parts(sig, mask):
+    """A blade split by generator role through the masks blade_mul reads."""
+    minus, null = mask & sig.minus_mask, mask & sig.null_mask
+    return mask ^ minus ^ null, minus, null
+
+
 class TestBladeParts:
     def test_full_blade(self):
         sig = Signature(1, 1, 1)
-        assert blade_parts(sig, 0b111) == ({0}, {1}, {2})
+        assert role_parts(sig, 0b111) == (0b001, 0b010, 0b100)
 
     def test_scalar_blade(self):
         sig = Signature(1, 1, 1)
-        assert blade_parts(sig, 0) == (frozenset(), frozenset(), frozenset())
+        assert role_parts(sig, 0) == (0, 0, 0)
 
     def test_role_partition(self):
         sig = Signature(2, 0, 1)
-        assert blade_parts(sig, 0b101) == ({0}, frozenset(), {2})
+        assert role_parts(sig, 0b101) == (0b001, 0, 0b100)
+        sig = Signature(2, 3, 2)
+        for part, square in zip(role_parts(sig, sig.full_mask), (1, -1, 0)):
+            assert {sig.square(i) for i in range(sig.n) if part >> i & 1} == {square}
 
     def test_grade(self):
-        assert blade_grade(0b1011) == 3
         sig = Signature(2, 1, 1)
-        i, j, k = blade_parts(sig, 0b1011)
-        assert len(i) + len(j) + len(k) == blade_grade(0b1011)
+        assert sum(part.bit_count() for part in role_parts(sig, 0b1011)) == 3
 
 
 class TestBladeStr:

@@ -1,6 +1,7 @@
 """The core splitting Cl(p,q,z) = M (x) Cl(r,s,z) and the closures lifted through it."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from cliffideals import (
     Signature,
     central_idempotents,
     ideal_closure,
+    ideal_nilpotency_index,
     is_split_signature,
 )
 from cliffideals.core import CoreSplit
@@ -107,10 +109,57 @@ def test_wrong_twisted_sign_raises(monkeypatch):
     assert "core split" in message and str(sig) in message
 
 
-def test_core_rows_refuse_a_row_leaving_block_zero():
+def test_core_ideal_refuses_a_row_leaving_block_zero(monkeypatch):
+    # at (2,0,2) the core is Cl(0,0,2) and the closure of e3 is M (x) (f1);
+    # a block-0 row that also left block 0 would bring a second component,
+    # here f0, which enlarges J to the core radical
     sig = Signature(2, 0, 2)
-    split = CoreSplit(sig)
-    # e0*e1*e2 stands for (A, b) = (1, f2) and e3 for (e0*e1, f3): a row
-    # holding both has its pivot in block 0 but leaves it
-    with pytest.raises(SelfCheckError, match="2,0,2"):
-        split.core_rows([{0b0111: 1, 0b1000: 1}])
+    ideal = ideal_closure(sig, [Multivector.generator(sig, 3)])
+    components = CoreSplit.components
+
+    def leaving(self, terms):
+        parts = components(self, terms)
+        if not self._block(min(terms)):
+            parts.append({0b01: Fraction(1)})
+        return parts
+
+    monkeypatch.setattr(CoreSplit, "components", leaving)
+    with pytest.raises(SelfCheckError) as caught:
+        ideal_nilpotency_index(ideal)
+    assert str(caught.value) == (
+        "ideal_nilpotency_index at signature 2,0,2: "
+        "core ideal of dim 3 does not lift to dim 8"
+    )
+
+
+def test_closure_holds_its_generators(monkeypatch):
+    # with no core components the saturation is empty and the certified
+    # result is the zero ideal, which the generator check refuses
+    sig = Signature(5, 2, 5)
+    monkeypatch.setattr(CoreSplit, "components", lambda self, terms: [])
+    x = Multivector.generator(sig, 0) + Multivector.generator(sig, 7)
+    with pytest.raises(SelfCheckError) as caught:
+        ideal_closure(sig, [x])
+    assert str(caught.value) == (
+        "ideal_closure at signature 5,2,5: generator 0 is not in the closure"
+    )
+
+
+def test_truncation_maps_closures_onto_closures():
+    # e_n -> 0 is an onto homomorphism Cl(p,q,z+1) -> Cl(p,q,z) that fixes
+    # x, so it maps the closure of x onto the closure of x: dropping the
+    # blades that hold e_n from the rows of the larger closure spans the
+    # smaller one
+    rng = random.Random(29)
+    for p, q, z in (
+        (3, 2, 4), (4, 1, 4), (2, 2, 5), (5, 2, 5),
+        (3, 3, 4), (1, 0, 8), (0, 1, 9), (2, 1, 7),
+    ):
+        small, big = Signature(p, q, z), Signature(p, q, z + 1)
+        for _ in range(3):
+            x = random_multivector(small, rng, max_terms=4)
+            truncated = Echelon()
+            for v in ideal_closure(big, [Multivector(big, x.terms)]).basis:
+                truncated.add({m: c for m, c in v.terms.items() if m < small.dim})
+            expected = ideal_closure(small, [x]).basis
+            assert truncated.rows() == [v.terms for v in expected], (small, x)

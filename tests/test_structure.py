@@ -32,25 +32,28 @@ def split_signatures(max_pq, z=0):
 
 class TestClassify:
     def test_split_one_zero(self):
-        assert classify_pq(Signature(1, 0, 0)).kind is AlgebraKind.SPLIT
+        assert classify_pq(Signature(1, 0, 0)) is AlgebraKind.SPLIT
 
     def test_simple_balanced(self):
-        assert classify_pq(Signature(1, 1, 1)).kind is AlgebraKind.SIMPLE
+        assert classify_pq(Signature(1, 1, 1)) is AlgebraKind.SIMPLE
 
     def test_split_negative_difference(self):
         # p - q = -3 is 5 mod 8
-        assert classify_pq(Signature(0, 3, 0)).kind is AlgebraKind.SPLIT
+        assert classify_pq(Signature(0, 3, 0)) is AlgebraKind.SPLIT
 
     def test_witness_only_for_split(self):
-        assert classify_pq(Signature(1, 1, 0)).idempotents is None
-        witness = classify_pq(Signature(1, 0, 0)).idempotents
-        assert witness is not None and len(witness) == 2
+        assert classify_pq(Signature(1, 1, 0)) is AlgebraKind.SIMPLE
+        with pytest.raises(ValueError):
+            central_idempotents(Signature(1, 1, 0))
+        witness = central_idempotents(Signature(1, 0, 0))
+        assert classify_pq(Signature(1, 0, 0)) is AlgebraKind.SPLIT
+        assert len(witness) == 2
 
     def test_mod8_rule(self):
         for sig in signatures_up_to(6):
             expected = (sig.p - sig.q) % 8 in (1, 5)
             assert is_split_signature(sig) == expected
-            assert classify_pq(sig).is_split == expected
+            assert (classify_pq(sig) is AlgebraKind.SPLIT) == expected
 
 
 class TestVolumeElement:
