@@ -22,8 +22,9 @@ coordinates the core bits are the high bits, so lifting the RREF rows of
 J block by block, one block per M blade A, gives the RREF of M (x) J
 directly: a lifted row keeps the core pivot, and distinct A give
 distinct pivots.  `components` is the one inverse map: it reads J back
-off the rows of M (x) J whose pivot lies in block 0.  When p+q <= 1,
-m = 0 and every map here is the identity.
+off the rows of M (x) J whose pivot lies in block 0, and `ideal_closure`
+checks that its parts rebuild each generator through `blade`.  When
+p+q <= 1, m = 0 and every map here is the identity.
 """
 
 from __future__ import annotations
@@ -58,14 +59,14 @@ class CoreSplit:
             sign *= s
         return sign, a | (b << self.shift)
 
-    def components(self, terms: dict) -> list[dict]:
-        """The nonzero core terms lambda_A with x = sum_A e_A * lambda_A."""
+    def components(self, terms: dict) -> dict[int, dict]:
+        """The nonzero core terms lambda_A with x = sum_A e_A * lambda_A, keyed by A."""
         parts: dict = {}
         for x, c in terms.items():
             a, b = self._block(x), x >> self.shift
             sign, _ = self.blade(a, b)
             parts.setdefault(a, {})[b] = c if sign > 0 else -c
-        return list(parts.values())
+        return parts
 
     def lift(self, core_rows: list[dict]) -> Echelon:
         """The echelon of M (x) J from the RREF rows of J.

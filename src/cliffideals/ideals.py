@@ -26,16 +26,25 @@ The null generators take the top z bits, so the nil radical is the blade
 tail at masks >= 2**(p+q), and the RREF rows of I with a pivot there are
 the RREF of I & radical.  Each split prime is the closure of its central
 idempotent alone, which already contains the radical.
+
+The ideals generated by null blades -- the radical, the ideal of a set S
+of null generators and each step of the descending chain -- are spans of
+known blades, so they are written directly as unit rows, with no
+saturation.  Each row e_X comes with an exact witness e_X = +-e_Y * e_g
+for a generator e_g, which puts the span inside the ideal; the generators
+are rows and the certificate proves the span closed, which gives the
+other inclusion.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations
 
-from .blades import Signature, blade_mul
+from .blades import Signature, blade_mul, blade_str
 from .core import CoreSplit
 from .linalg import Echelon, intersect_spans
 from .multivector import Multivector, SignatureMismatchError, _check_same_sig
@@ -164,6 +173,54 @@ def _certify_closed(sig: Signature, ech: Echelon, context: str) -> None:
                     )
 
 
+def _recomposed(split: CoreSplit, parts: dict) -> dict:
+    """sum_A e_A * g(lambda_A), mapped back through the core blade map."""
+    out = {}
+    for a, part in parts.items():
+        for b, c in part.items():
+            sign, x = split.blade(a, b)
+            v = out.get(x, 0) + (c if sign > 0 else -c)
+            if v:
+                out[x] = v
+            else:
+                del out[x]
+    return out
+
+
+def _blade_span_ideal(sig: Signature, gens, masks, witness, context: str) -> Ideal:
+    """The ideal generated by the blades e_g (g in `gens`), given its blade basis.
+
+    `masks` lists the basis blades in ascending order.  For each of them,
+    `witness(X)` returns (Y, g) with g in `gens` and e_Y * e_g = +-e_X,
+    which puts e_X in the ideal.  The span is then certified closed by
+    `Ideal(...)`, and each generator must be one of its rows, so the span
+    is exactly the ideal.  SelfCheckError names `context` otherwise.
+    """
+    gens = set(gens)
+    for x in masks:
+        y, g = witness(x)
+        if g not in gens:
+            raise check_failed(
+                sig,
+                context,
+                f"witness {blade_str(g)} of row {blade_str(x)} is not a generator",
+            )
+        sign, product = blade_mul(sig, y, g)
+        if not sign or product != x:
+            raise check_failed(
+                sig,
+                context,
+                f"witness {blade_str(y)} * {blade_str(g)} does not give row "
+                f"{blade_str(x)}",
+            )
+    one = Fraction(1)
+    ideal = Ideal(sig, Echelon.from_rref([{x: one} for x in masks]), context)
+    for g in gens:
+        if not ideal._ech.contains({g: one}):
+            raise check_failed(sig, context, f"generator {blade_str(g)} is not a row")
+    return ideal
+
+
 def _saturate(sig: Signature, ech: Echelon, terms: dict) -> None:
     """Add the two-sided ideal generated by `terms` to a closed span.
 
@@ -190,8 +247,10 @@ def ideal_closure(sig: Signature, gens) -> Ideal:
     """Smallest two-sided ideal containing the generators.
 
     Saturates the core components of every generator in the core algebra
-    and lifts the core ideal J to M (x) J.  Each generator must then lie
-    in the certified result, or SelfCheckError is raised.
+    and lifts the core ideal J to M (x) J.  The components of each
+    generator must rebuild it exactly through the core blade map, and each
+    generator must lie in the certified result, or SelfCheckError is
+    raised.
     """
     gens = list(gens)
     for g in gens:
@@ -199,8 +258,15 @@ def ideal_closure(sig: Signature, gens) -> Ideal:
             raise SignatureMismatchError(f"generator signature {g.sig} != {sig}")
     split = CoreSplit(sig)
     ech = Echelon()
-    for g in gens:
-        for part in split.components(g.terms):
+    for i, g in enumerate(gens):
+        parts = split.components(g.terms)
+        if _recomposed(split, parts) != g.terms:
+            raise check_failed(
+                sig,
+                "ideal_closure",
+                f"core components of generator {i} do not recompose",
+            )
+        for part in parts.values():
             _saturate(split.core, ech, part)
     ideal = Ideal(sig, split.lift(ech.rows()), "ideal_closure")
     for i, g in enumerate(gens):
@@ -263,31 +329,35 @@ def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
 def ideal_from_null_set(sig: Signature, null_indices) -> Ideal:
     """Ideal generated by the null generators with the given indices.
 
-    Verified against the direct description: the span of all blades whose
-    null part meets the index set.
+    Written directly as the span of the blades that meet the index set S,
+    with no saturation: each row e_X is +-e_(X minus k) * e_k for the
+    lowest k in X & S, and `_blade_span_ideal` certifies the span.
     """
     idx = sorted(set(null_indices))
     for i in idx:
         if i not in sig.null_indices():
             raise ValueError(f"generator e{i} is not a null generator of {sig}")
-    ideal = ideal_closure(sig, [Multivector.generator(sig, i) for i in idx])
     smask = 0
     for i in idx:
         smask |= 1 << i
-    expected = [m for m in range(sig.dim) if m & smask]
-    rows = ideal._ech.rows()
-    if [min(row) for row in rows] != expected or any(len(row) != 1 for row in rows):
-        raise check_failed(
-            sig, "ideal_from_null_set", f"ideal of null set {idx} is not its blade span"
-        )
-    return ideal
+
+    def witness(x):
+        low = x & smask
+        low &= -low
+        return x ^ low, low
+
+    masks = [m for m in range(sig.dim) if m & smask]
+    return _blade_span_ideal(
+        sig, [1 << i for i in idx], masks, witness, "ideal_from_null_set"
+    )
 
 
 def nil_radical(sig: Signature) -> Ideal:
     """The nil radical: the ideal generated by all null generators.
 
-    Its basis is verified to be exactly the blades with a nonempty null
-    part; the dimension is 2**(p+q) * (2**z - 1).
+    Built by `ideal_from_null_set` as the blades with a nonempty null
+    part, the masks >= 2**(p+q); the dimension must be
+    2**(p+q) * (2**z - 1).
     """
     ideal = ideal_from_null_set(sig, sig.null_indices())
     expected_dim = (1 << (sig.p + sig.q)) * ((1 << sig.z) - 1)
@@ -403,7 +473,7 @@ def _core_ideal(ideal: Ideal) -> Ideal:
     ech = Echelon()
     for row in ideal._ech.rows():
         if not split._block(min(row)):
-            for part in split.components(row):
+            for part in split.components(row).values():
                 ech.add(part)
     core = Ideal(split.core, ech, "ideal_nilpotency_index")
     if core.dim << split.shift != ideal.dim:
@@ -500,8 +570,11 @@ def finite_generating_witness(ideal: Ideal) -> list[Multivector]:
 def descending_chain(sig: Signature, k: int) -> list[Ideal]:
     """Strictly shrinking ideals generated by growing null-blade products.
 
-    The i-th ideal is generated by the product of the first i+1 null
-    generators; strictness of every inclusion is verified.
+    The i-th ideal is generated by f_S, the product of the set S of the
+    first i+1 null generators.  It is written directly as the span of the
+    blades that contain S, with no saturation: each row e_X is
+    +-e_(X minus S) * f_S, and `_blade_span_ideal` certifies the span.
+    Strictness of every inclusion is verified.
     """
     if k < 0 or k > sig.z:
         raise ValueError(f"chain length {k} must lie in 0..z = {sig.z}")
@@ -510,7 +583,12 @@ def descending_chain(sig: Signature, k: int) -> list[Ideal]:
     mask = 0
     for i in range(k):
         mask |= 1 << nulls[i]
-        chain.append(ideal_closure(sig, [Multivector.blade(sig, mask)]))
+        rows = [m for m in range(sig.dim) if m & mask == mask]
+        chain.append(
+            _blade_span_ideal(
+                sig, [mask], rows, lambda x, f=mask: (x ^ f, f), "descending_chain"
+            )
+        )
     for big, small in zip(chain, chain[1:]):
         if not (big.contains_ideal(small) and small.dim < big.dim):
             raise check_failed(sig, "descending_chain", "not strictly decreasing")

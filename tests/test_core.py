@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -89,7 +90,7 @@ def test_lift_matches_full_algebra_saturation():
             split = CoreSplit(sig)
             core = Echelon()
             for g in gens:
-                for part in split.components(g.terms):
+                for part in split.components(g.terms).values():
                     _saturate(split.core, core, part)
             assert [v.terms for v in _core_ideal(ideal).basis] == core.rows()
 
@@ -120,7 +121,7 @@ def test_core_ideal_refuses_a_row_leaving_block_zero(monkeypatch):
     def leaving(self, terms):
         parts = components(self, terms)
         if not self._block(min(terms)):
-            parts.append({0b01: Fraction(1)})
+            parts[self.omega] = {0b01: Fraction(1)}
         return parts
 
     monkeypatch.setattr(CoreSplit, "components", leaving)
@@ -133,15 +134,50 @@ def test_core_ideal_refuses_a_row_leaving_block_zero(monkeypatch):
 
 
 def test_closure_holds_its_generators(monkeypatch):
-    # with no core components the saturation is empty and the certified
-    # result is the zero ideal, which the generator check refuses
+    # a lift that writes no rows yields the certified zero ideal, which
+    # the generator check refuses
     sig = Signature(5, 2, 5)
-    monkeypatch.setattr(CoreSplit, "components", lambda self, terms: [])
+    monkeypatch.setattr(CoreSplit, "lift", lambda self, core_rows: Echelon())
     x = Multivector.generator(sig, 0) + Multivector.generator(sig, 7)
     with pytest.raises(SelfCheckError) as caught:
         ideal_closure(sig, [x])
     assert str(caught.value) == (
         "ideal_closure at signature 5,2,5: generator 0 is not in the closure"
+    )
+
+
+def _components_without_the_flip(self, terms):
+    # files each term under its low bits, also when its core part is odd
+    parts = {}
+    for x, c in terms.items():
+        a, b = x & self.omega, x >> self.shift
+        sign, _ = self.blade(a, b)
+        parts.setdefault(a, {})[b] = c if sign > 0 else -c
+    return parts
+
+
+def test_closure_refuses_components_that_do_not_recompose(monkeypatch):
+    # at (3,2,4) the core has h, and conjugating by h splits every part into
+    # its even and odd core terms, so the misfiled parts generate the same
+    # core ideal and the certified result holds the generators; only
+    # rebuilding the generator through the blade map shows the fault
+    sig = Signature(3, 2, 4)
+    e = partial(Multivector.generator, sig)
+    gens = [e(5) * e(6), e(5) + e(7) * e(8)]  # core parts even; odd and even
+    monkeypatch.setattr(CoreSplit, "components", _components_without_the_flip)
+    with pytest.raises(SelfCheckError) as caught:
+        ideal_closure(sig, gens)
+    assert str(caught.value) == (
+        "ideal_closure at signature 3,2,4: "
+        "core components of generator 1 do not recompose"
+    )
+    monkeypatch.setattr(CoreSplit, "components", lambda self, terms: {})
+    sig = Signature(5, 2, 5)
+    with pytest.raises(SelfCheckError) as caught:
+        ideal_closure(sig, [Multivector.generator(sig, 0)])
+    assert str(caught.value) == (
+        "ideal_closure at signature 5,2,5: "
+        "core components of generator 0 do not recompose"
     )
 
 

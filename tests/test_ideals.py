@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,8 @@ from cliffideals import (
     whole_algebra,
     zero_ideal,
 )
+from cliffideals import ideals
+from cliffideals.ideals import _blade_span_ideal, _saturate
 from cliffideals.linalg import Echelon
 from cliffideals.oracle import oracle_closure_fixpoint, oracle_closure_sandwich
 
@@ -444,6 +447,89 @@ class TestChains:
             descending_chain(S111, 2)
         with pytest.raises(ValueError):
             ascending_chain(S111, 2)
+
+
+class TestBladeSpanIdeals:
+    def test_null_sets_match_saturation(self):
+        # every null-set ideal is written as a blade span; the reference
+        # saturates in the full algebra, one more null generator into the
+        # closure of the subset without it (test_core ties ideal_closure
+        # to the same saturation for every null subset)
+        for sig in signatures_up_to(7, min_z=1):
+            nulls = list(sig.null_indices())
+            reference = {0: []}
+            for subset in range(1, 1 << len(nulls)):
+                top = subset.bit_length() - 1
+                rest = reference[subset ^ (1 << top)]
+                ech = Echelon.from_rref([dict(row) for row in rest])
+                _saturate(sig, ech, {1 << nulls[top]: Fraction(1)})
+                reference[subset] = ech.rows()
+            for subset, rows in reference.items():
+                picked = [k for i, k in enumerate(nulls) if subset >> i & 1]
+                ideal = ideal_from_null_set(sig, picked)
+                assert [v.terms for v in ideal.basis] == rows, (sig, picked)
+
+    def test_descending_chain_matches_closure_and_oracle(self):
+        for sig in signatures_up_to(7, min_z=1):
+            s = 0
+            for k, ideal in zip(sig.null_indices(), descending_chain(sig, sig.z)):
+                s |= 1 << k
+                f = Multivector.blade(sig, s)
+                assert ideal == ideal_closure(sig, [f]), (sig, s)
+                if sig.n <= 6:
+                    fix = oracle_closure_fixpoint(sig, [f])
+                    assert len(fix) == ideal.dim
+                    assert all(ideal.contains(v) for v in fix)
+
+    def test_wrong_witness_is_refused(self):
+        sig = Signature(0, 0, 3)
+        masks = [0b001, 0b011, 0b101, 0b111]  # the blades that meet {0}
+        with pytest.raises(SelfCheckError) as caught:
+            _blade_span_ideal(sig, [0b001], masks, lambda x: (x, 0b001), "null set")
+        assert str(caught.value) == (
+            "null set at signature 0,0,3: witness e0 * e0 does not give row e0"
+        )
+        # e0*e1 = e0 * e1 is a true product, but e1 is not a generator
+        with pytest.raises(SelfCheckError) as caught:
+            _blade_span_ideal(
+                sig, [0b001], masks, lambda x: (x & ~2, 2) if x & 2 else (0, 1), "chain"
+            )
+        assert str(caught.value) == (
+            "chain at signature 0,0,3: witness e1 of row e0*e1 is not a generator"
+        )
+
+    def test_missing_blade_is_refused_by_the_certificate(self):
+        sig = Signature(0, 0, 3)
+        with pytest.raises(SelfCheckError) as caught:
+            _blade_span_ideal(
+                sig, [0b001], [0b001, 0b101, 0b111], lambda x: (x ^ 1, 1), "null set"
+            )
+        assert str(caught.value) == (
+            "null set at signature 0,0,3: not closed under left multiplication by e1"
+        )
+
+    def test_generator_must_be_a_row(self):
+        # e0*e1 lies in the ideal of e0 and its span is closed, but it is
+        # a smaller ideal than the one e0 generates
+        sig = Signature(0, 0, 3)
+        with pytest.raises(SelfCheckError) as caught:
+            _blade_span_ideal(
+                sig, [0b001], [0b011, 0b111], lambda x: (x ^ 1, 1), "null set"
+            )
+        assert str(caught.value) == (
+            "null set at signature 0,0,3: generator e0 is not a row"
+        )
+
+    def test_no_saturation_at_large_z(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("saturation reached")
+
+        monkeypatch.setattr(ideals, "_saturate", refuse)
+        sig = Signature(0, 0, 14)
+        assert nil_radical(sig).dim == (1 << 14) - 1
+        assert ideal_from_null_set(sig, [3, 7]).dim == (1 << 14) - (1 << 12)
+        chain = descending_chain(sig, 14)
+        assert [ideal.dim for ideal in chain] == [1 << (13 - i) for i in range(14)]
 
 
 class TestGeneratingWitness:
