@@ -29,7 +29,7 @@ class Signature:
     def __post_init__(self):
         for name in ("p", "q", "z"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
         if self.n > GENERATOR_CAP:
             raise ValueError(

@@ -9,11 +9,12 @@ and when p+q is odd, h = omega'*e_{p+q-1} squares to +1 or -1.  So the
 twisted generators generate a copy of the core algebra C = Cl(r,s,z) with
 r+s <= 1, and the product map M (x) C -> Cl(p,q,z) is an isomorphism.
 
-Core generator j stands for g_j, so a core blade b stands for
+Core generator j stands for g_j, so a core blade b with t bits stands for
 g_b = g_{j1}...g_{jt} = (omega'**2)**(t//2) * omega'**(t mod 2) * e_(b<<2m),
-since omega' commutes with every e_k with k >= 2m.  Hence e_A * g_b is
-+-e_X with X = (A ^ omega' if t is odd else A) | b << 2m, a bijection of
-the (M blade, core blade) pairs onto the blades.
+since omega' commutes with every e_k with k >= 2m.  `twisted` is this map,
+and every other map here derives from it with blade signs: `blade` gives
+e_A * g_b, a bijection of the (M blade, core blade) pairs onto the blades,
+and `_block` reads A back off a blade.
 
 Every two-sided ideal is M (x) J for a two-sided ideal J of C (M is
 central simple), and writing x = sum_A e_A * lambda_A, the ideal generated
@@ -23,13 +24,13 @@ J block by block, one block per M blade A, gives the RREF of M (x) J
 directly: a lifted row keeps the core pivot, and distinct A give
 distinct pivots.  `components` is the one inverse map: it reads J back
 off the rows of M (x) J whose pivot lies in block 0, and `ideal_closure`
-checks that its parts rebuild each generator through `blade`.  When
+checks that `compose` rebuilds each generator from its parts.  When
 p+q <= 1, m = 0 and every map here is the identity.
 """
 
 from __future__ import annotations
 
-from .blades import Signature, blade_mul
+from .blades import Signature, blade_mul, sign_mask
 from .linalg import Echelon
 from .structure import check_failed
 
@@ -42,22 +43,28 @@ class CoreSplit:
         self.shift = 2 * ((sig.p + sig.q) // 2)  # 2m: M's generators, bits below
         self.omega = (1 << self.shift) - 1  # the mask of omega'
         self.omega_square = blade_mul(sig, self.omega, self.omega)[0]
-        h = (sig.p + sig.q) - self.shift  # 1 iff h exists
-        h_square = self.omega_square * sig.square(self.shift) if h else 0
+        h = self.twisted(1)[1]  # g_0 = omega' * e_2m, which is h when p+q is odd
+        h_square = blade_mul(sig, h, h)[0] if sig.p + sig.q > self.shift else 0
         self.core = Signature(int(h_square > 0), int(h_square < 0), sig.z)
         _check_twisted_relations(self)
+
+    def twisted(self, b: int) -> tuple[int, int]:
+        """(sign, mask) with g_b = sign * e_mask, for a core blade b.
+
+        omega' * e_(b<<2m) = +e_(omega' | b<<2m): omega's indices are lower.
+        """
+        t = b.bit_count()
+        sign = self.omega_square if t & 2 else 1
+        return sign, (b << self.shift) | (self.omega if t & 1 else 0)
 
     def blade(self, a: int, b: int) -> tuple[int, int]:
         """(sign, mask) with e_a * g_b = sign * e_mask.
 
         a is a blade of M (a mask below bit 2m), b a blade of the core.
         """
-        t = b.bit_count()
-        sign = self.omega_square if t & 2 else 1
-        if t & 1:
-            s, a = blade_mul(self.sig, a, self.omega)
-            sign *= s
-        return sign, a | (b << self.shift)
+        sign, mask = self.twisted(b)
+        s, mask = blade_mul(self.sig, a, mask)
+        return sign * s, mask
 
     def components(self, terms: dict) -> dict[int, dict]:
         """The nonzero core terms lambda_A with x = sum_A e_A * lambda_A, keyed by A."""
@@ -68,36 +75,42 @@ class CoreSplit:
             parts.setdefault(a, {})[b] = c if sign > 0 else -c
         return parts
 
+    def compose(self, parts: dict) -> dict:
+        """sum_A e_A * g(lambda_A), from the core parts lambda_A keyed by A."""
+        out: dict = {}
+        for a, part in parts.items():
+            for b, c in part.items():
+                sign, x = self.blade(a, b)
+                out[x] = out.get(x, 0) + (c if sign > 0 else -c)
+        return {x: c for x, c in out.items() if c}
+
     def lift(self, core_rows: list[dict]) -> Echelon:
         """The echelon of M (x) J from the RREF rows of J.
 
-        Row y lifted through e_A is e_A * y, scaled so that its pivot,
-        the lift of y's pivot, has coefficient 1.
+        Row y lifted through e_A is e_A * g(y), divided by the sign of its
+        pivot.  For a term c*b of y with g_b = s*e_X, e_A * e_X has the sign
+        of the parity of A & sign_mask(X), so relative to the pivot's lift
+        the term is +-c by the parity of A & rel, the same rel for every A.
         """
-        shift, omega, w = self.shift, self.omega, self.omega_square
-        a_signs = [blade_mul(self.sig, a, omega)[0] for a in range(1 << shift)]
-        rows = []
+        sig, rows = self.sig, []
         for row in core_rows:
-            t0 = min(row).bit_count()
+            s0, x0 = self.twisted(min(row))
+            pivot_mask = sign_mask(sig, x0)
             terms = []
             for b, c in row.items():
-                t = b.bit_count()
-                sign = w if (t ^ t0) & 2 else 1  # the two powers of omega'**2
-                terms.append((b << shift, c, -c, sign, (t ^ t0) & 1, t & 1))
-            for a, sa in enumerate(a_signs):
-                flipped = a ^ omega
-                lifted = {}
-                for high, c, neg, sign, odd, t_odd in terms:
-                    if odd and sa < 0:
-                        sign = -sign
-                    lifted[(flipped if t_odd else a) | high] = c if sign > 0 else neg
-                rows.append(lifted)
+                s, x = self.twisted(b)
+                c = c if s == s0 else -c
+                terms.append((x, sign_mask(sig, x) ^ pivot_mask, c, -c))
+            for a in range(1 << self.shift):
+                rows.append({
+                    a ^ x: neg if (a & rel).bit_count() & 1 else c
+                    for x, rel, c, neg in terms
+                })
         return Echelon.from_rref(rows)
 
     def _block(self, x: int) -> int:
         """The M blade A of the pair (A, b) that blade x stands for."""
-        a = x & self.omega
-        return a ^ self.omega if (x >> self.shift).bit_count() & 1 else a
+        return (x ^ self.twisted(x >> self.shift)[1]) & self.omega
 
 
 def _check_twisted_relations(split: CoreSplit) -> None:

@@ -173,20 +173,6 @@ def _certify_closed(sig: Signature, ech: Echelon, context: str) -> None:
                     )
 
 
-def _recomposed(split: CoreSplit, parts: dict) -> dict:
-    """sum_A e_A * g(lambda_A), mapped back through the core blade map."""
-    out = {}
-    for a, part in parts.items():
-        for b, c in part.items():
-            sign, x = split.blade(a, b)
-            v = out.get(x, 0) + (c if sign > 0 else -c)
-            if v:
-                out[x] = v
-            else:
-                del out[x]
-    return out
-
-
 def _blade_span_ideal(sig: Signature, gens, masks, witness, context: str) -> Ideal:
     """The ideal generated by the blades e_g (g in `gens`), given its blade basis.
 
@@ -260,7 +246,7 @@ def ideal_closure(sig: Signature, gens) -> Ideal:
     ech = Echelon()
     for i, g in enumerate(gens):
         parts = split.components(g.terms)
-        if _recomposed(split, parts) != g.terms:
+        if split.compose(parts) != g.terms:
             raise check_failed(
                 sig,
                 "ideal_closure",

@@ -46,6 +46,13 @@ class TestSignature:
         with pytest.raises(ValueError):
             Signature(-1, 0, 0)
 
+    def test_bool_counts_rejected(self):
+        # True == 1, but the signature would print as "True,0,1" in reports
+        # and SelfCheckError messages
+        for counts in ((True, 0, 1), (0, False, 1), (1, 0, True)):
+            with pytest.raises(ValueError):
+                Signature(*counts)
+
     def test_index_errors(self):
         sig = Signature(1, 1, 1)
         with pytest.raises(IndexError):

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import pytest
 
@@ -15,6 +15,7 @@ from cliffideals import (
     ideal_nilpotency_index,
     is_split_signature,
 )
+from cliffideals.blades import blade_mul
 from cliffideals.core import CoreSplit
 from cliffideals.ideals import _core_ideal, _saturate
 from cliffideals.linalg import Echelon
@@ -199,3 +200,135 @@ def test_truncation_maps_closures_onto_closures():
                 truncated.add({m: c for m, c in v.terms.items() if m < small.dim})
             expected = ideal_closure(small, [x]).basis
             assert truncated.rows() == [v.terms for v in expected], (small, x)
+
+
+def test_lift_rows_are_composed_rows():
+    # past the oracle's reach, each lifted row is e_A * g(y) written by
+    # `compose`, divided by its pivot coefficient; the closures of
+    # h*f0 + f1*f2 + h*f3 and h*f0 + f1 + f2 have core rows of several
+    # terms, with pivots of every weight mod 4 and terms of both parities
+    one = Fraction(1)
+    for p, q, z in ((3, 2, 4), (5, 2, 5), (4, 3, 4), (2, 3, 6)):
+        split = CoreSplit(Signature(p, q, z))
+        for gen in ((0b00011, 0b01100, 0b10001), (0b0011, 0b0100, 0b1000)):
+            ech = Echelon()
+            _saturate(split.core, ech, dict.fromkeys(gen, one))
+            expected = []
+            for y in ech.rows():
+                for a in range(1 << split.shift):
+                    v = split.compose({a: y})
+                    pivot = v[min(v)]
+                    expected.append({x: c / pivot for x, c in v.items()})
+            expected.sort(key=min)
+            assert split.lift(ech.rows()).rows() == expected, (split.sig, gen)
+
+
+def _twisted_swapped(self, b):
+    # the odd-t block choice made for the even weights instead
+    t = b.bit_count()
+    sign = self.omega_square if t & 2 else 1
+    return sign, (b << self.shift) | (0 if t & 1 else self.omega)
+
+
+def _twisted_odd_power(self, b):
+    # the omega'**2 power keyed on the low bit of t: the same map where
+    # omega'**2 = +1, as at (5,2,5)
+    t = b.bit_count()
+    sign = self.omega_square if t & 1 else 1
+    return sign, (b << self.shift) | (self.omega if t & 1 else 0)
+
+
+@pytest.mark.parametrize(
+    "mutant, cases",
+    [
+        (
+            _twisted_swapped,
+            [(sig, "twisted generator g0 does not commute with e0")
+             for sig in ((3, 2, 4), (4, 1, 4), (5, 2, 5), (2, 3, 5), (4, 2, 4))],
+        ),
+        (
+            _twisted_odd_power,
+            [(sig, "g0*g1 disagrees with the core blade map")
+             for sig in ((3, 2, 4), (4, 2, 4))],
+        ),
+    ],
+    ids=["swapped", "odd_power"],
+)
+def test_wrong_twisted_map_raises_past_the_oracle(monkeypatch, mutant, cases):
+    # lift, blade, _block and compose all read `twisted`, so the relations
+    # checked when the split is built catch a wrong closed form at n >= 9
+    monkeypatch.setattr(CoreSplit, "twisted", mutant)
+    for counts, message in cases:
+        sig = Signature(*counts)
+        with pytest.raises(SelfCheckError) as caught:
+            ideal_closure(sig, [Multivector.generator(sig, 0)])
+        assert str(caught.value) == f"core split at signature {sig}: {message}"
+
+
+def _grade_involution(sig):
+    return lambda x: ((-1) ** x.bit_count(), x)
+
+
+def _reversion(sig):
+    return lambda x: ((-1) ** (x.bit_count() * (x.bit_count() - 1) // 2), x)
+
+
+def _null_permutation(sig):
+    # e_k -> e_pi(k) for a seeded permutation pi of the null generators,
+    # extended to blades as the product of the images in ascending order
+    nulls = list(sig.null_indices())
+    pi = dict(zip(nulls, random.Random(7).sample(nulls, len(nulls))))
+
+    def image(x):
+        sign, out = 1, 0
+        for i in range(sig.n):
+            if x >> i & 1:
+                s, out = blade_mul(sig, out, 1 << pi.get(i, i))
+                sign *= s
+        return sign, out
+
+    return image
+
+
+def _proper_element(sig, rng, radical_only):
+    # a central idempotent plus 3 radical blades of weight <= 3 has a proper
+    # closure with rows of several terms; times a product f_S of all but two
+    # null generators, the closure shrinks into the blades that contain S
+    masks = [m for m in range(sig.dim) if m.bit_count() <= 3 and m & sig.null_mask]
+    x = central_idempotents(sig)[rng.randrange(2)] + Multivector(
+        sig, {m: Fraction(rng.randint(1, 3)) for m in rng.sample(masks, 3)}
+    )
+    if radical_only:
+        for k in rng.sample(list(sig.null_indices()), sig.z - 2):
+            x = x * Multivector.generator(sig, k)
+    return x
+
+
+@pytest.mark.parametrize(
+    "automorphism", [_grade_involution, _reversion, _null_permutation]
+)
+def test_automorphisms_map_closures_onto_closures(automorphism):
+    # grade involution and null permutations are automorphisms, reversion an
+    # anti-automorphism: each maps the two-sided ideal generated by x onto
+    # the one generated by the image of x, so the mapped rows of closure(x)
+    # span closure(image of x); every signature here is split, n = 9..13,
+    # and general elements, whose closures are large, stop at n = 10
+    rng = random.Random(83)
+    for p, q, z in ((3, 2, 4), (1, 0, 9), (2, 1, 8), (3, 2, 7), (4, 3, 6)):
+        sig = Signature(p, q, z)
+        blade_image = cache(automorphism(sig))
+
+        def mapped(terms):
+            out = {}
+            for x, c in terms.items():
+                sign, y = blade_image(x)
+                out[y] = c * sign
+            return out
+
+        for radical_only in (True, False) if sig.n <= 10 else (True,):
+            x = _proper_element(sig, rng, radical_only)
+            ech = Echelon()
+            for v in ideal_closure(sig, [x]).basis:
+                ech.add(mapped(v.terms))
+            image = ideal_closure(sig, [Multivector(sig, mapped(x.terms))])
+            assert ech.rows() == [v.terms for v in image.basis], (sig, x)
