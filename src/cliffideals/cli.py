@@ -246,15 +246,13 @@ def _render_value(value, indent: int) -> list[str]:
                 lines.extend(_render_value(inner, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {_flat(inner)}")
-    elif isinstance(value, list):
+    else:
         for item in value:
             if isinstance(item, (dict, list)):
                 lines.append(f"{pad}-")
                 lines.extend(_render_value(item, indent + 1))
             else:
                 lines.append(f"{pad}- {_flat(item)}")
-    else:
-        lines.append(f"{pad}{_flat(value)}")
     return lines
 
 

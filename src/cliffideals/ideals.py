@@ -93,7 +93,7 @@ class Ideal:
     def contains(self, u: Multivector) -> bool:
         """True iff u reduces to zero against the echelon."""
         _check_same_sig(u, self)
-        return self._ech.contains(u.terms)
+        return self._ech.contains(u._terms)
 
     def contains_ideal(self, other: "Ideal") -> bool:
         _check_same_sig(self, other)
@@ -245,8 +245,8 @@ def ideal_closure(sig: Signature, gens) -> Ideal:
     split = CoreSplit(sig)
     ech = Echelon()
     for i, g in enumerate(gens):
-        parts = split.components(g.terms)
-        if split.compose(parts) != g.terms:
+        parts = split.components(g._terms)
+        if split.compose(parts) != g._terms:
             raise check_failed(
                 sig,
                 "ideal_closure",
@@ -256,7 +256,7 @@ def ideal_closure(sig: Signature, gens) -> Ideal:
             _saturate(split.core, ech, part)
     ideal = Ideal(sig, split.lift(ech.rows()), "ideal_closure")
     for i, g in enumerate(gens):
-        if not ideal._ech.contains(g.terms):
+        if not ideal._ech.contains(g._terms):
             raise check_failed(
                 sig, "ideal_closure", f"generator {i} is not in the closure"
             )
@@ -296,7 +296,7 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
         for v in b.basis:
             prod = u * v
             if prod:
-                ech.add(prod.terms)
+                ech.add(prod._terms)
     return Ideal(a.sig, ech, "ideal_product")
 
 
@@ -363,14 +363,15 @@ def _component_rows(sig: Signature, idempotent: Multivector) -> list[dict]:
     for m in range(1 << (sig.p + sig.q)):
         prod = idempotent * Multivector.blade(sig, m)
         if prod:
-            rows.append(prod.terms)
+            rows.append(prod._terms)
     return rows
 
 
 def component_ideal(sig: Signature, which: int) -> Ideal:
     """The ideal generated by one of the two split idempotents (which in {1, 2})."""
-    e1, e2 = central_idempotents(sig)
-    return ideal_closure(sig, [e1 if which == 1 else e2])
+    if which not in (1, 2):
+        raise ValueError(f"component must be 1 or 2, got {which!r}")
+    return ideal_closure(sig, [central_idempotents(sig)[which - 1]])
 
 
 def ideal_classify(ideal: Ideal) -> ClassificationReport:
@@ -388,24 +389,23 @@ def ideal_classify(ideal: Ideal) -> ClassificationReport:
     start = 1 << (sig.p + sig.q)  # radical: blades at masks >= start
     rad_rows = [dict(row) for row in ideal._ech.rows() if min(row) >= start]
     inter = Ideal(sig, Echelon.from_rref(rad_rows), "ideal_classify")
-    dims = (ideal.dim, inter.dim)
-    if ideal.dim == 0:
-        return ClassificationReport(IdealVerdict.ZERO, inter, dims)
-    if inter.dim == ideal.dim:
-        return ClassificationReport(IdealVerdict.CONTAINED_IN_RADICAL, inter, dims)
-    if not is_split_signature(sig):
-        if ideal.is_whole_algebra():
-            return ClassificationReport(IdealVerdict.WHOLE_ALGEBRA, inter, dims)
+    if ideal.is_zero():
+        verdict = IdealVerdict.ZERO
+    elif inter.dim == ideal.dim:
+        verdict = IdealVerdict.CONTAINED_IN_RADICAL
+    elif ideal.is_whole_algebra():
+        verdict = IdealVerdict.WHOLE_ALGEBRA
+    elif not is_split_signature(sig):
         raise fail("a proper nonzero ideal escaped the radical of a simple class")
-    e1, e2 = central_idempotents(sig)
-    in1 = ideal.contains(e1)
-    in2 = ideal.contains(e2)
-    if in1 and in2:
-        if not ideal.is_whole_algebra():
+    else:
+        e1, e2 = central_idempotents(sig)
+        in1, in2 = ideal.contains(e1), ideal.contains(e2)
+        if in1 and in2:
             raise fail("ideal contains 1 but is not the whole algebra")
-        return ClassificationReport(IdealVerdict.WHOLE_ALGEBRA, inter, dims)
-    if in1 or in2:
-        comp = e1 if in1 else e2
+        if not (in1 or in2):
+            raise fail(
+                "ideal escapes the radical but contains neither split idempotent"
+            )
         half = start // 2
         if ideal.dim != half + inter.dim:
             raise fail(
@@ -413,7 +413,7 @@ def ideal_classify(ideal: Ideal) -> ClassificationReport:
                 f"{ideal.dim} != {half} + {inter.dim}"
             )
         ech = Echelon()
-        for row in _component_rows(sig, comp):
+        for row in _component_rows(sig, e1 if in1 else e2):
             if not ideal._ech.contains(row):
                 raise fail("component span escapes the ideal")
             ech.add(row)
@@ -428,8 +428,7 @@ def ideal_classify(ideal: Ideal) -> ClassificationReport:
             if in1
             else IdealVerdict.COMPONENT2_PLUS_RADICAL_PART
         )
-        return ClassificationReport(verdict, inter, dims)
-    raise fail("ideal escapes the radical but contains neither split idempotent")
+    return ClassificationReport(verdict, inter, (ideal.dim, inter.dim))
 
 
 def prime_ideals(sig: Signature) -> list[Ideal]:
@@ -474,20 +473,25 @@ def _core_ideal(ideal: Ideal) -> Ideal:
 def ideal_nilpotency_index(ideal: Ideal):
     """Smallest n with ideal**n == 0, or None if none exists.
 
-    With ideal = M (x) J, ideal**k = M (x) J**k, so the powers are taken
-    in the core.  The search is bounded by z+1: a (z+1)-fold product of
-    radical elements repeats a null generator, so surviving that bound
-    certifies the None verdict.
+    A nilpotent ideal lies in the radical, since Cl(p,q,z) modulo it is
+    the semisimple Cl(p,q): an ideal outside it is answered None from its
+    pivots, with no products.  (Elements differ: (e0+e1)**2 == 0 in
+    Cl(1,1,0).)  The powers of a radical ideal M (x) J are M (x) J**k,
+    taken in the core, and J**(z+1) == 0, since a (z+1)-fold product of
+    radical elements repeats a null generator; a power that outlasts that
+    bound raises SelfCheckError.
     """
+    if not ideal.contained_in_radical():
+        return None
     core = _core_ideal(ideal)
-    bound = core.sig.z + 1
     power = core
-    for k in range(1, bound + 1):
+    for k in range(1, core.sig.z + 2):
         if power.is_zero():
             return k
-        if k <= bound - 1:
-            power = ideal_product(power, core)
-    return None
+        power = ideal_product(power, core)
+    raise check_failed(
+        ideal.sig, "ideal_nilpotency_index", f"radical ideal**{k} is not zero"
+    )
 
 
 def null_support_of_ideal(ideal: Ideal) -> tuple[frozenset, frozenset]:

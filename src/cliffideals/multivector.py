@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
+from types import MappingProxyType
 
 from .blades import Signature, blade_str, sign_mask
 
@@ -90,12 +91,9 @@ class Multivector:
     # -- inspection ---------------------------------------------------
 
     @property
-    def terms(self) -> dict[int, Fraction]:
-        """Blade mask -> coefficient map.  Treat as read-only."""
-        return self._terms
-
-    def coefficient(self, mask: int) -> Fraction:
-        return self._terms.get(mask, Fraction(0))
+    def terms(self) -> MappingProxyType:
+        """Read-only view of the blade mask -> coefficient map."""
+        return MappingProxyType(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms

@@ -11,6 +11,7 @@ from cliffideals import (
     Signature,
     SignatureMismatchError,
     ascending_chain,
+    central_idempotents,
     component_ideal,
     descending_chain,
     finite_generating_witness,
@@ -31,7 +32,11 @@ from cliffideals import (
 from cliffideals import ideals
 from cliffideals.ideals import _blade_span_ideal, _saturate
 from cliffideals.linalg import Echelon
-from cliffideals.oracle import oracle_closure_fixpoint, oracle_closure_sandwich
+from cliffideals.oracle import (
+    oracle_closure_fixpoint,
+    oracle_closure_sandwich,
+    oracle_nilpotency,
+)
 
 from helpers import random_multivector, signatures_up_to
 
@@ -123,6 +128,15 @@ class TestConstruction:
         ideal = closure_of_masks(S111, 0b100)
         with pytest.raises(AttributeError):
             ideal.sig = Signature(1, 1, 0)
+
+    def test_basis_terms_are_read_only(self):
+        # a basis vector's terms are the echelon's row, seen read-only
+        sig = Signature(1, 0, 2)
+        ideal = nil_radical(sig)
+        with pytest.raises(TypeError):
+            ideal.basis[0].terms[0] = Fraction(1)
+        assert str(ideal.basis[0]) == "e1"
+        assert ideal == nil_radical(sig)
 
     def test_constructor_takes_the_rows(self):
         # the caller's echelon is left empty, so inserting into it later
@@ -278,6 +292,12 @@ class TestClassify:
         report = ideal_classify(component_ideal(sig, 2))
         assert report.verdict is IdealVerdict.COMPONENT2_PLUS_RADICAL_PART
 
+    def test_component_ideal_refuses_other_indices(self):
+        sig = Signature(1, 0, 1)
+        for which in (0, 3):
+            with pytest.raises(ValueError, match="component must be 1 or 2"):
+                component_ideal(sig, which)
+
     def test_verdicts_consistent_on_random_principals(self):
         rng = random.Random(43)
         for sig in [S111, Signature(2, 0, 1), Signature(1, 0, 1), Signature(0, 3, 1)]:
@@ -315,6 +335,57 @@ class TestClassify:
                 seen.add(report.verdict)
                 assert report.radical_intersection == ideal_intersect(ideal, radical)
         assert seen == set(IdealVerdict)
+
+
+class TestClassifySelfChecks:
+    # Each SelfCheckError of ideal_classify, reached on the first prime of
+    # Cl(2,1,1) through a patched collaborator.  That prime is a component
+    # of dim 4 plus the radical, blades 8..15.  The direct-sum dimension
+    # identity needs a forged certified Ideal and has no test here.
+    SIG = Signature(2, 1, 1)
+
+    def fails(self, ideal, message):
+        with pytest.raises(SelfCheckError) as caught:
+            ideal_classify(ideal)
+        assert str(caught.value) == f"ideal_classify at signature 2,1,1: {message}"
+
+    def test_both_idempotents_inside(self, monkeypatch):
+        prime = prime_ideals(self.SIG)[0]
+        e1, _ = central_idempotents(self.SIG)
+        monkeypatch.setattr(ideals, "central_idempotents", lambda sig: (e1, e1))
+        self.fails(prime, "ideal contains 1 but is not the whole algebra")
+
+    def test_neither_idempotent_inside(self, monkeypatch):
+        prime = prime_ideals(self.SIG)[0]
+        _, e2 = central_idempotents(self.SIG)
+        monkeypatch.setattr(ideals, "central_idempotents", lambda sig: (e2, e2))
+        self.fails(
+            prime, "ideal escapes the radical but contains neither split idempotent"
+        )
+
+    def test_escape_in_a_simple_class(self, monkeypatch):
+        prime = prime_ideals(self.SIG)[0]
+        monkeypatch.setattr(ideals, "is_split_signature", lambda sig: False)
+        self.fails(
+            prime, "a proper nonzero ideal escaped the radical of a simple class"
+        )
+
+    def test_short_component(self, monkeypatch):
+        prime = prime_ideals(self.SIG)[0]
+        monkeypatch.setattr(ideals, "_component_rows", lambda sig, e: [])
+        self.fails(prime, "split component has rank 0, expected 4")
+
+    def test_escaping_component(self, monkeypatch):
+        prime = prime_ideals(self.SIG)[0]
+        rows = [{0: Fraction(1)}]
+        monkeypatch.setattr(ideals, "_component_rows", lambda sig, e: rows)
+        self.fails(prime, "component span escapes the ideal")
+
+    def test_component_inside_the_radical(self, monkeypatch):
+        prime = prime_ideals(self.SIG)[0]
+        rows = [{m: Fraction(1)} for m in range(8, 12)]
+        monkeypatch.setattr(ideals, "_component_rows", lambda sig, e: rows)
+        self.fails(prime, "component + radical intersection does not rebuild the ideal")
 
 
 class TestPrimeIdeals:
@@ -362,6 +433,40 @@ class TestIdealNilpotency:
 
     def test_zero_ideal_index_one(self):
         assert ideal_nilpotency_index(zero_ideal(S111)) == 1
+
+    def test_outside_the_radical_takes_no_products(self, monkeypatch):
+        whole = whole_algebra(Signature(1, 0, 8))
+        prime = prime_ideals(Signature(3, 2, 4))[0]
+
+        def refuse(*args):
+            raise AssertionError("power walk reached")
+
+        monkeypatch.setattr(ideals, "ideal_product", refuse)
+        monkeypatch.setattr(ideals, "_core_ideal", refuse)
+        assert ideal_nilpotency_index(whole) is None
+        assert ideal_nilpotency_index(prime) is None
+
+    def test_matches_oracle_powering(self):
+        # the oracle powers the ideal in the full algebra up to dim + 1,
+        # so its None verdicts need no semisimplicity argument
+        rng = random.Random(53)
+        verdicts = set()
+        for sig in signatures_up_to(3):
+            for _ in range(4):
+                ideal = ideal_closure(sig, [random_multivector(sig, rng)])
+                index = ideal_nilpotency_index(ideal)
+                assert index == oracle_nilpotency(sig, ideal.basis), (sig, ideal)
+                verdicts.add(index is None)
+        assert verdicts == {True, False}
+
+    def test_a_surviving_power_is_refused(self, monkeypatch):
+        # a product that returns its left factor never reaches zero
+        monkeypatch.setattr(ideals, "ideal_product", lambda a, b: a)
+        with pytest.raises(SelfCheckError) as caught:
+            ideal_nilpotency_index(nil_radical(Signature(0, 0, 2)))
+        assert str(caught.value) == (
+            "ideal_nilpotency_index at signature 0,0,2: radical ideal**3 is not zero"
+        )
 
 
 class TestIdealFromNullSet:
