@@ -76,9 +76,13 @@ class Signature:
             )
 
     def check_blade(self, mask: int) -> None:
-        if not 0 <= mask <= self.full_mask:
+        if (
+            isinstance(mask, bool)
+            or not isinstance(mask, int)
+            or not 0 <= mask <= self.full_mask
+        ):
             raise IndexError(
-                f"blade mask {mask:#x} invalid for signature "
+                f"blade mask {mask!r} invalid for signature "
                 f"({self.p},{self.q},{self.z})"
             )
 

@@ -27,13 +27,16 @@ tail at masks >= 2**(p+q), and the RREF rows of I with a pivot there are
 the RREF of I & radical.  Each split prime is the closure of its central
 idempotent alone, which already contains the radical.
 
-The ideals generated by null blades -- the radical, the ideal of a set S
-of null generators and each step of the descending chain -- are spans of
-known blades, so they are written directly as unit rows, with no
-saturation.  Each row e_X comes with an exact witness e_X = +-e_Y * e_g
-for a generator e_g, which puts the span inside the ideal; the generators
-are rows and the certificate proves the span closed, which gives the
-other inclusion.
+Ideals generated by blades are written directly, with no saturation.
+A blade e_g is an invertible body blade times the null monomial e_k,
+k = g & null_mask, so the ideal of a set of blades is the span of the
+blades e_X with X containing the null part k of one of them (the
+monomial law).  The radical (every null generator), the ideal of a set
+of null generators, each step of the descending chain (one null
+monomial) and the whole algebra (k = 0) are ideals of this kind.  Each
+row e_X comes with an exact witness e_X = +-e_(X^g) * e_g, which puts
+the span inside the ideal; the generators are rows and the certificate
+proves the span closed, which gives the other inclusion.
 """
 
 from __future__ import annotations
@@ -173,35 +176,35 @@ def _certify_closed(sig: Signature, ech: Echelon, context: str) -> None:
                     )
 
 
-def _blade_span_ideal(sig: Signature, gens, masks, witness, context: str) -> Ideal:
-    """The ideal generated by the blades e_g (g in `gens`), given its blade basis.
+def _blade_span_ideal(sig: Signature, blades, context: str) -> Ideal:
+    """The ideal generated by the blades e_g (g in `blades`), written as unit rows.
 
-    `masks` lists the basis blades in ascending order.  For each of them,
-    `witness(X)` returns (Y, g) with g in `gens` and e_Y * e_g = +-e_X,
-    which puts e_X in the ideal.  The span is then certified closed by
+    By the monomial law its rows are the blades e_X, in ascending order,
+    with X containing k = g & null_mask for some g.  Each row is put in
+    the ideal by the witness e_X = +-e_(X^g) * e_g for the first such g,
+    which `blade_mul` must confirm.  The span is then certified closed by
     `Ideal(...)`, and each generator must be one of its rows, so the span
     is exactly the ideal.  SelfCheckError names `context` otherwise.
     """
-    gens = set(gens)
-    for x in masks:
-        y, g = witness(x)
-        if g not in gens:
-            raise check_failed(
-                sig,
-                context,
-                f"witness {blade_str(g)} of row {blade_str(x)} is not a generator",
-            )
-        sign, product = blade_mul(sig, y, g)
-        if not sign or product != x:
-            raise check_failed(
-                sig,
-                context,
-                f"witness {blade_str(y)} * {blade_str(g)} does not give row "
-                f"{blade_str(x)}",
-            )
+    null = sig.null_mask
+    parts = [(g & null, g) for g in blades]
     one = Fraction(1)
-    ideal = Ideal(sig, Echelon.from_rref([{x: one} for x in masks]), context)
-    for g in gens:
+    rows = []
+    for x in range(sig.dim):
+        for k, g in parts:
+            if x & k == k:
+                sign, product = blade_mul(sig, x ^ g, g)
+                if not sign or product != x:
+                    raise check_failed(
+                        sig,
+                        context,
+                        f"witness {blade_str(x ^ g)} * {blade_str(g)} does not "
+                        f"give row {blade_str(x)}",
+                    )
+                rows.append({x: one})
+                break
+    ideal = Ideal(sig, Echelon.from_rref(rows), context)
+    for g in blades:
         if not ideal._ech.contains({g: one}):
             raise check_failed(sig, context, f"generator {blade_str(g)} is not a row")
     return ideal
@@ -268,7 +271,9 @@ def zero_ideal(sig: Signature) -> Ideal:
 
 
 def whole_algebra(sig: Signature) -> Ideal:
-    return ideal_closure(sig, [Multivector.scalar(sig, 1)])
+    """The whole algebra: the blade span of the scalar blade, whose null
+    part is empty, so every blade is a row (e_X = e_X * 1)."""
+    return _blade_span_ideal(sig, [0], "whole_algebra")
 
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
@@ -301,12 +306,14 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
 
 
 def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
-    """Subspace intersection via the double-echelon (stacked) method."""
+    """Subspace intersection via the double-echelon (stacked) method.
+
+    The stacked echelon's rows with a pivot past the offset are already
+    in RREF, so they are taken as they are.
+    """
     _check_same_sig(a, b)
-    out = Echelon()
-    for row in intersect_spans(a._ech.rows(), b._ech.rows(), a.sig.dim):
-        out.add(row)
-    return Ideal(a.sig, out, "ideal_intersect")
+    rows = intersect_spans(a._ech.rows(), b._ech.rows(), a.sig.dim)
+    return Ideal(a.sig, Echelon.from_rref(rows), "ideal_intersect")
 
 
 # -- radicals ----------------------------------------------------------
@@ -315,27 +322,15 @@ def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
 def ideal_from_null_set(sig: Signature, null_indices) -> Ideal:
     """Ideal generated by the null generators with the given indices.
 
-    Written directly as the span of the blades that meet the index set S,
-    with no saturation: each row e_X is +-e_(X minus k) * e_k for the
-    lowest k in X & S, and `_blade_span_ideal` certifies the span.
+    By the monomial law it is the span of the blades that meet the index
+    set S, written by `_blade_span_ideal` with no saturation: each row
+    e_X is +-e_(X minus k) * e_k for the lowest k in X & S.
     """
     idx = sorted(set(null_indices))
     for i in idx:
         if i not in sig.null_indices():
             raise ValueError(f"generator e{i} is not a null generator of {sig}")
-    smask = 0
-    for i in idx:
-        smask |= 1 << i
-
-    def witness(x):
-        low = x & smask
-        low &= -low
-        return x ^ low, low
-
-    masks = [m for m in range(sig.dim) if m & smask]
-    return _blade_span_ideal(
-        sig, [1 << i for i in idx], masks, witness, "ideal_from_null_set"
-    )
+    return _blade_span_ideal(sig, [1 << i for i in idx], "ideal_from_null_set")
 
 
 def nil_radical(sig: Signature) -> Ideal:
@@ -532,8 +527,9 @@ def finite_generating_witness(ideal: Ideal) -> list[Multivector]:
     """A finite generator list whose closure reproduces the ideal.
 
     Walks the basis, keeping a vector only if the kept ones do not
-    already generate it, then prunes backwards so no kept vector is
-    generated by the rest.
+    already generate it, then walks the kept vectors forwards, dropping
+    each one the others still generate, so no kept vector is generated
+    by the rest.
     """
     sig = ideal.sig
     if not ideal.contained_in_radical():
@@ -561,10 +557,10 @@ def descending_chain(sig: Signature, k: int) -> list[Ideal]:
     """Strictly shrinking ideals generated by growing null-blade products.
 
     The i-th ideal is generated by f_S, the product of the set S of the
-    first i+1 null generators.  It is written directly as the span of the
-    blades that contain S, with no saturation: each row e_X is
-    +-e_(X minus S) * f_S, and `_blade_span_ideal` certifies the span.
-    Strictness of every inclusion is verified.
+    first i+1 null generators.  By the monomial law it is the span of the
+    blades that contain S, written by `_blade_span_ideal` with no
+    saturation: each row e_X is +-e_(X minus S) * f_S.  Strictness of
+    every inclusion is verified.
     """
     if k < 0 or k > sig.z:
         raise ValueError(f"chain length {k} must lie in 0..z = {sig.z}")
@@ -573,12 +569,7 @@ def descending_chain(sig: Signature, k: int) -> list[Ideal]:
     mask = 0
     for i in range(k):
         mask |= 1 << nulls[i]
-        rows = [m for m in range(sig.dim) if m & mask == mask]
-        chain.append(
-            _blade_span_ideal(
-                sig, [mask], rows, lambda x, f=mask: (x ^ f, f), "descending_chain"
-            )
-        )
+        chain.append(_blade_span_ideal(sig, [mask], "descending_chain"))
     for big, small in zip(chain, chain[1:]):
         if not (big.contains_ideal(small) and small.dim < big.dim):
             raise check_failed(sig, "descending_chain", "not strictly decreasing")

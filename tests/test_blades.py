@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from cliffideals import (
     GENERATOR_CAP,
+    Multivector,
     Signature,
     blade_mul,
     blade_str,
@@ -102,6 +103,12 @@ class TestBladeMul:
         sig = Signature(1, 0, 0)
         with pytest.raises(IndexError):
             blade_mul(sig, 0b10, 0b01)
+        # a float or bool mask is refused even where its value is in range
+        for mask in (0.5, 1.0, 2.0, True, False):
+            with pytest.raises(IndexError):
+                sig.check_blade(mask)
+            with pytest.raises(IndexError):
+                Multivector(sig, {mask: 1})
 
 
 def role_parts(sig, mask):

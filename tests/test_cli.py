@@ -233,4 +233,5 @@ def test_closed_stdout_exits_cleanly():
     finally:
         proc.kill()
         proc.wait()
+        proc.stderr.close()
     assert "Traceback" not in err

@@ -11,6 +11,7 @@ from cliffideals import (
     Signature,
     SignatureMismatchError,
     ascending_chain,
+    blade_mul,
     central_idempotents,
     component_ideal,
     descending_chain,
@@ -586,41 +587,56 @@ class TestBladeSpanIdeals:
                     assert len(fix) == ideal.dim
                     assert all(ideal.contains(v) for v in fix)
 
-    def test_wrong_witness_is_refused(self):
+    def test_blade_spans_match_closure(self):
+        # the monomial law: the ideal of blades is the span of the blades
+        # that contain the null part of one of them
+        rng = random.Random(61)
+        for sig in signatures_up_to(5):
+            cases = [[g] for g in range(sig.dim)]
+            cases += [[rng.randrange(sig.dim) for _ in range(2)] for _ in range(4)]
+            for blades in cases:
+                gens = [Multivector.blade(sig, g) for g in blades]
+                expected = ideal_closure(sig, gens)
+                assert _blade_span_ideal(sig, blades, "span") == expected, (
+                    sig,
+                    blades,
+                )
+
+    def test_wrong_witness_is_refused(self, monkeypatch):
         sig = Signature(0, 0, 3)
-        masks = [0b001, 0b011, 0b101, 0b111]  # the blades that meet {0}
-        with pytest.raises(SelfCheckError) as caught:
-            _blade_span_ideal(sig, [0b001], masks, lambda x: (x, 0b001), "null set")
-        assert str(caught.value) == (
-            "null set at signature 0,0,3: witness e0 * e0 does not give row e0"
+        # a product that vanishes, as if the witness met a null generator twice
+        monkeypatch.setattr(
+            ideals,
+            "blade_mul",
+            lambda sig, a, b: (0, 0) if a ^ b == 0b101 else blade_mul(sig, a, b),
         )
-        # e0*e1 = e0 * e1 is a true product, but e1 is not a generator
         with pytest.raises(SelfCheckError) as caught:
-            _blade_span_ideal(
-                sig, [0b001], masks, lambda x: (x & ~2, 2) if x & 2 else (0, 1), "chain"
-            )
+            _blade_span_ideal(sig, [0b001], "null set")
         assert str(caught.value) == (
-            "chain at signature 0,0,3: witness e1 of row e0*e1 is not a generator"
+            "null set at signature 0,0,3: witness e2 * e0 does not give row e0*e2"
+        )
+        # a product that lands on another blade
+        monkeypatch.setattr(ideals, "blade_mul", lambda sig, a, b: (1, a))
+        with pytest.raises(SelfCheckError) as caught:
+            _blade_span_ideal(sig, [0b011], "chain")
+        assert str(caught.value) == (
+            "chain at signature 0,0,3: witness 1 * e0*e1 does not give row e0*e1"
         )
 
-    def test_missing_blade_is_refused_by_the_certificate(self):
-        sig = Signature(0, 0, 3)
+    def test_missing_blade_is_refused_by_the_certificate(self, monkeypatch):
+        drop_rows(monkeypatch, {0b011})
         with pytest.raises(SelfCheckError) as caught:
-            _blade_span_ideal(
-                sig, [0b001], [0b001, 0b101, 0b111], lambda x: (x ^ 1, 1), "null set"
-            )
+            _blade_span_ideal(Signature(0, 0, 3), [0b001], "null set")
         assert str(caught.value) == (
             "null set at signature 0,0,3: not closed under left multiplication by e1"
         )
 
-    def test_generator_must_be_a_row(self):
+    def test_generator_must_be_a_row(self, monkeypatch):
         # e0*e1 lies in the ideal of e0 and its span is closed, but it is
         # a smaller ideal than the one e0 generates
-        sig = Signature(0, 0, 3)
+        drop_rows(monkeypatch, {0b001, 0b101})
         with pytest.raises(SelfCheckError) as caught:
-            _blade_span_ideal(
-                sig, [0b001], [0b011, 0b111], lambda x: (x ^ 1, 1), "null set"
-            )
+            _blade_span_ideal(Signature(0, 0, 3), [0b001], "null set")
         assert str(caught.value) == (
             "null set at signature 0,0,3: generator e0 is not a row"
         )
@@ -630,11 +646,23 @@ class TestBladeSpanIdeals:
             raise AssertionError("saturation reached")
 
         monkeypatch.setattr(ideals, "_saturate", refuse)
+        monkeypatch.setattr(ideals, "CoreSplit", refuse)
         sig = Signature(0, 0, 14)
         assert nil_radical(sig).dim == (1 << 14) - 1
         assert ideal_from_null_set(sig, [3, 7]).dim == (1 << 14) - (1 << 12)
         chain = descending_chain(sig, 14)
         assert [ideal.dim for ideal in chain] == [1 << (13 - i) for i in range(14)]
+        assert whole_algebra(sig).dim == 1 << 14
+
+
+def drop_rows(monkeypatch, pivots):
+    """Make `Echelon.from_rref` leave out the rows with the given pivots."""
+    real = Echelon.from_rref
+
+    def from_rref(rows):
+        return real([row for row in rows if min(row) not in pivots])
+
+    monkeypatch.setattr(Echelon, "from_rref", staticmethod(from_rref))
 
 
 class TestGeneratingWitness:
