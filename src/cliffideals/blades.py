@@ -69,9 +69,9 @@ class Signature:
         return range(self.p + self.q, self.n)
 
     def _check_index(self, index: int) -> None:
-        if not 0 <= index < self.n:
+        if type(index) is not int or not 0 <= index < self.n:
             raise IndexError(
-                f"generator index {index} out of range for signature "
+                f"generator index {index!r} out of range for signature "
                 f"({self.p},{self.q},{self.z})"
             )
 
@@ -122,7 +122,7 @@ def blade_mul(sig: Signature, a: int, b: int) -> tuple[int, int]:
     normalised to (0, 0).
     """
     full = sig.full_mask
-    if not (0 <= a <= full and 0 <= b <= full):
+    if not (type(a) is int and type(b) is int and 0 <= a <= full and 0 <= b <= full):
         sig.check_blade(a)
         sig.check_blade(b)
     if a & b & sig.null_mask:

@@ -3,8 +3,11 @@
 Verbs: signature-info, eval, ideal classify, primes, radical, chains,
 nilpotency, support.  Every verb takes -s/--signature plus --json for a
 machine-readable report with the stable top-level keys {command,
-signature, result, elapsed_ms}.  Domain errors surface as diagnostics on
-stderr with a nonzero exit code, never as tracebacks.
+signature, result, elapsed_ms}.  Without --json the report is text: one
+`key: value` line per field, and a list of ideals as one `-` block per
+ideal.  Counts and expressions take ASCII digits only.  Domain errors
+exit 2 and an internal consistency failure (SelfCheckError) exits 3,
+each with a diagnostic on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .ideals import (
     null_support_of_ideal,
     prime_ideals,
 )
-from .multivector import Multivector
 from .parsing import parse_expression, parse_signature
 from .structure import AlgebraKind, SelfCheckError, central_idempotents, classify_pq
 
@@ -116,16 +118,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_gens(sig, text: str) -> tuple[list[str], list[Multivector]]:
+def _parse_gens(sig, text: str) -> tuple:
+    """The `--gens` sources, their values and the ideal they generate."""
     sources = [part.strip() for part in text.split(";") if part.strip()]
-    return sources, [parse_expression(sig, part) for part in sources]
+    gens = [parse_expression(sig, part) for part in sources]
+    return sources, gens, ideal_closure(sig, gens)
 
 
 def _ideal_payload(ideal) -> dict:
     return {"dim": ideal.dim, "basis": ideal.basis_strings()}
 
 
-def _run_signature_info(sig, relabel) -> dict:
+def _run_signature_info(sig, args) -> dict:
+    _, relabel = parse_signature(args.signature)
     kind = classify_pq(sig)
     radical = nil_radical(sig)
     result = {
@@ -150,8 +155,7 @@ def _run_eval(sig, args) -> dict:
 
 
 def _run_classify(sig, args) -> dict:
-    sources, gens = _parse_gens(sig, args.gens)
-    ideal = ideal_closure(sig, gens)
+    sources, gens, ideal = _parse_gens(sig, args.gens)
     report = ideal_classify(ideal)
     return {
         "generators": sources,
@@ -183,8 +187,7 @@ def _run_chains(sig, args) -> dict:
 
 
 def _run_nilpotency(sig, args) -> dict:
-    sources, gens = _parse_gens(sig, args.gens)
-    ideal = ideal_closure(sig, gens)
+    sources, gens, ideal = _parse_gens(sig, args.gens)
     return {
         "generators": sources,
         "ideal_dim": ideal.dim,
@@ -194,8 +197,7 @@ def _run_nilpotency(sig, args) -> dict:
 
 
 def _run_support(sig, args) -> dict:
-    sources, gens = _parse_gens(sig, args.gens)
-    ideal = ideal_closure(sig, gens)
+    sources, gens, ideal = _parse_gens(sig, args.gens)
     canonical, minimal = null_support_of_ideal(ideal)
     return {
         "generators": sources,
@@ -206,6 +208,7 @@ def _run_support(sig, args) -> dict:
 
 
 _HANDLERS = {
+    "signature-info": _run_signature_info,
     "eval": _run_eval,
     "ideal classify": _run_classify,
     "primes": _run_primes,
@@ -221,12 +224,9 @@ def run(args: argparse.Namespace) -> dict:
     command = args.command
     if getattr(args, "subcommand", None):
         command = f"{command} {args.subcommand}"
-    sig, relabel = parse_signature(args.signature)
+    sig, _ = parse_signature(args.signature)
     start = time.perf_counter()
-    if command == "signature-info":
-        result = _run_signature_info(sig, relabel)
-    else:
-        result = _HANDLERS[command](sig, args)
+    result = _HANDLERS[command](sig, args)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return {
         "command": command,
@@ -234,32 +234,6 @@ def run(args: argparse.Namespace) -> dict:
         "result": result,
         "elapsed_ms": round(elapsed_ms, 3),
     }
-
-
-def _render_value(value, indent: int) -> list[str]:
-    pad = "  " * indent
-    lines = []
-    if isinstance(value, dict):
-        for key, inner in value.items():
-            if isinstance(inner, (dict, list)) and inner and not _is_flat(inner):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_value(inner, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_flat(inner)}")
-    else:
-        for item in value:
-            if isinstance(item, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_value(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {_flat(item)}")
-    return lines
-
-
-def _is_flat(value) -> bool:
-    if isinstance(value, list):
-        return all(not isinstance(v, (dict, list)) for v in value)
-    return False
 
 
 def _flat(value) -> str:
@@ -271,11 +245,19 @@ def _flat(value) -> str:
 
 
 def render_text(report: dict) -> str:
+    """One `key: value` line per field; a list of ideals as `-` blocks."""
     lines = [
         f"command: {report['command']}",
         f"signature: {report['signature']}",
     ]
-    lines.extend(_render_value(report["result"], 0))
+    for key, value in report["result"].items():
+        if value and isinstance(value, list) and isinstance(value[0], dict):
+            lines.append(f"{key}:")
+            for item in value:
+                lines.append("  -")
+                lines.extend(f"    {k}: {_flat(v)}" for k, v in item.items())
+        else:
+            lines.append(f"{key}: {_flat(value)}")
     lines.append(f"elapsed: {report['elapsed_ms']} ms")
     return "\n".join(lines)
 

@@ -12,6 +12,8 @@ Expression grammar (whitespace-insensitive):
     atom     := rational GEN? | GEN | '(' expr ')'
     rational := INT ('/' INT)?
 
+INT and the index of GEN (`e<index>`) are runs of the ASCII digits 0-9.
+
 The canonical printed form of a multivector is the flat sum
 `c*<blade> +- ...` with the terms in ascending blade-mask order, and it
 always parses back to an equal value.  Parenthesised products such as
@@ -56,11 +58,10 @@ def parse_signature(text: str) -> tuple[Signature, tuple[int, ...]]:
             raise ValueError(
                 f"signature {text!r} must have exactly three counts p,q,z"
             )
-        try:
-            p, q, z = (int(t) for t in parts)
-        except ValueError:
-            raise ValueError(f"signature {text!r} has non-integer counts") from None
-        sig = Signature(p, q, z)
+        # ASCII digits only: int() also reads "1_0" and other scripts' digits
+        if not all(t.isascii() and t.removeprefix("-").isdigit() for t in parts):
+            raise ValueError(f"signature {text!r} has non-integer counts")
+        sig = Signature(*(int(t) for t in parts))
         return sig, tuple(range(sig.n))
     roles = []
     for ch in s:
@@ -97,15 +98,15 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch == "e" and i + 1 < n and text[i + 1].isdigit():
+        elif ch == "e" and i + 1 < n and "0" <= text[i + 1] <= "9":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("gen", int(text[i + 1 : j]), i))
             i = j
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j

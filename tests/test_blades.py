@@ -60,6 +60,12 @@ class TestSignature:
             sig.square(3)
         with pytest.raises(IndexError):
             sig.square(-1)
+        # a float or bool index is refused even where its value is in range
+        for index in (1.5, 1.0, True):
+            with pytest.raises(IndexError):
+                sig.square(index)
+            with pytest.raises(IndexError):
+                Multivector.generator(sig, index)
 
 
 class TestGeneratorSquare:
@@ -109,6 +115,10 @@ class TestBladeMul:
                 sig.check_blade(mask)
             with pytest.raises(IndexError):
                 Multivector(sig, {mask: 1})
+            with pytest.raises(IndexError):
+                blade_mul(sig, mask, 0)
+            with pytest.raises(IndexError):
+                blade_mul(sig, 0, mask)
 
 
 def role_parts(sig, mask):

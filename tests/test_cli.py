@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,33 @@ def test_json_output_round_trips(name, capsys):
     parsed = json.loads(printed)
     assert json.loads(json.dumps(parsed)) == parsed
     assert set(parsed) == {"command", "signature", "result", "elapsed_ms"}
+
+
+# Text reports pinned byte for byte, one case per report shape: a flat
+# list of strings, `none`, a list of ints, empty lists, lists of ideal
+# dicts (primes and chains) and a None index.
+TEXT_CASES = {
+    "signature-info_101": ["signature-info", "-s", "1,0,1"],
+    "signature-info_111": ["signature-info", "-s", "1,1,1"],
+    "signature-info_roles": ["signature-info", "-s", "0+-"],
+    "eval_101": ["eval", "-s", "1,0,1", "3 + 2*e0 + 5/2*e1"],
+    "ideal-classify_empty": ["ideal", "classify", "-s", "1,1,1", "--gens", ""],
+    "ideal-classify_two": [
+        "ideal", "classify", "-s", "1,0,1", "--gens", "e1; 1/2 + 1/2*e0"
+    ],
+    "primes_101": ["primes", "-s", "1,0,1"],
+    "radical_000": ["radical", "-s", "0,0,0"],
+    "chains_003": ["chains", "-s", "0,0,3", "--k", "2"],
+    "nilpotency_none": ["nilpotency", "-s", "1,0,1", "--gens", "1 + e1; e1"],
+    "support_111": ["support", "-s", "1,1,1", "--gens", "e2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_CASES))
+def test_text_reports(name, capsys):
+    assert main(TEXT_CASES[name]) == 0
+    out = re.sub(r"(?m)^elapsed: .* ms$", "elapsed: - ms", capsys.readouterr().out)
+    assert out == (GOLDEN_DIR / "text" / f"{name}.txt").read_text()
 
 
 def test_text_output_mentions_key_facts(capsys):

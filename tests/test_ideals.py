@@ -342,7 +342,7 @@ class TestClassifySelfChecks:
     # Each SelfCheckError of ideal_classify, reached on the first prime of
     # Cl(2,1,1) through a patched collaborator.  That prime is a component
     # of dim 4 plus the radical, blades 8..15.  The direct-sum dimension
-    # identity needs a forged certified Ideal and has no test here.
+    # identity is reached through a forged certified Ideal instead.
     SIG = Signature(2, 1, 1)
 
     def fails(self, ideal, message):
@@ -387,6 +387,24 @@ class TestClassifySelfChecks:
         rows = [{m: Fraction(1)} for m in range(8, 12)]
         monkeypatch.setattr(ideals, "_component_rows", lambda sig, e: rows)
         self.fails(prime, "component + radical intersection does not rebuild the ideal")
+
+    def test_direct_sum_dimension(self, monkeypatch):
+        # a certified split-class ideal holding one idempotent always has
+        # dim = half + radical part, so forge one: the component of e1 at
+        # Cl(2,1,0) plus the blade e0, rank 5 with no radical part
+        sig = Signature(2, 1, 0)
+        e1, _ = central_idempotents(sig)
+        ech = Echelon()
+        for row in ideals._component_rows(sig, e1) + [{1: Fraction(1)}]:
+            ech.add(row)
+        monkeypatch.setattr(ideals, "_certify_closed", lambda *a: None)
+        forged = Ideal(sig, ech, "forged")
+        with pytest.raises(SelfCheckError) as caught:
+            ideal_classify(forged)
+        assert str(caught.value) == (
+            "ideal_classify at signature 2,1,0: "
+            "component direct-sum dimension identity failed: 5 != 4 + 0"
+        )
 
 
 class TestPrimeIdeals:

@@ -45,7 +45,9 @@ class TestParseSignature:
             parse_signature("1,1")
 
     def test_junk(self):
-        for bad in ["", "x", "1,1,1,1", "1,a,1", "+-1"]:
+        # counts take ASCII digits only
+        for bad in ["", "x", "1,1,1,1", "1,a,1", "+-1", "1_0,0,0", "١,٠,١",
+                    "²,0,0", "+1,0,0", "--1,0,0"]:
             with pytest.raises(ValueError):
                 parse_signature(bad)
 
@@ -93,7 +95,10 @@ class TestParseExpression:
         assert parse_expression(S111, "e1*e1") == Multivector.scalar(S111, -1)
 
     def test_syntax_errors_carry_position(self):
-        for text, pos in [("e0 e1", 3), ("3*", 2), ("", 0), ("1/0", 2)]:
+        # non-ASCII digits are not digits: e², e١, ٣*e0, e1²
+        cases = [("e0 e1", 3), ("3*", 2), ("", 0), ("1/0", 2),
+                 ("e\u00b2", 0), ("e\u0661", 0), ("\u0663*e0", 0), ("e1\u00b2", 2)]
+        for text, pos in cases:
             with pytest.raises(ExprSyntaxError) as err:
                 parse_expression(S111, text)
             assert err.value.position == pos
