@@ -28,7 +28,7 @@ from .ideals import (
     null_support_of_ideal,
     prime_ideals,
 )
-from .parsing import parse_expression, parse_signature
+from .parsing import parse_count, parse_expression, parse_signature
 from .structure import AlgebraKind, SelfCheckError, central_idempotents, classify_pq
 
 
@@ -36,7 +36,8 @@ class _Text(argparse.Action):
     """Store a text option as given.
 
     argparse drops a "--" it finds in an option's value and hands over an
-    empty list, so `--signature=--` arrives as []; that list stands for "--".
+    empty list, so `--signature=--` or `--k=--` arrives as []; that list
+    stands for "--".
     """
 
     def __call__(self, parser, namespace, values, option_string=None):
@@ -96,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chains = sub.add_parser(
         "chains", parents=[common], help="build strict ideal chains"
     )
-    p_chains.add_argument("--k", type=int, required=True, help="chain length")
+    p_chains.add_argument("--k", required=True, action=_Text, help="chain length")
     direction = p_chains.add_mutually_exclusive_group()
     direction.add_argument("--ascending", action="store_true")
     direction.add_argument("--descending", action="store_true")
@@ -177,10 +178,11 @@ def _run_radical(sig, args) -> dict:
 
 def _run_chains(sig, args) -> dict:
     ascending = bool(args.ascending)
-    chain = (ascending_chain if ascending else descending_chain)(sig, args.k)
+    k = parse_count(args.k, "chain length")
+    chain = (ascending_chain if ascending else descending_chain)(sig, k)
     return {
         "direction": "ascending" if ascending else "descending",
-        "length": args.k,
+        "length": k,
         "dims": [ideal.dim for ideal in chain],
         "ideals": [_ideal_payload(ideal) for ideal in chain],
     }
@@ -238,10 +240,8 @@ def run(args: argparse.Namespace) -> dict:
 
 def _flat(value) -> str:
     if isinstance(value, list):
-        return "[" + ", ".join(str(v) for v in value) + "]"
-    if value is None:
-        return "none"
-    return str(value)
+        return "[" + ", ".join(_flat(v) for v in value) + "]"
+    return "none" if value is None else str(value)
 
 
 def render_text(report: dict) -> str:

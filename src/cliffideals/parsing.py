@@ -12,7 +12,8 @@ Expression grammar (whitespace-insensitive):
     atom     := rational GEN? | GEN | '(' expr ')'
     rational := INT ('/' INT)?
 
-INT and the index of GEN (`e<index>`) are runs of the ASCII digits 0-9.
+INT, the index of GEN (`e<index>`), the signature counts and any other
+count read from text (`parse_count`) are runs of the ASCII digits 0-9.
 
 The canonical printed form of a multivector is the flat sum
 `c*<blade> +- ...` with the terms in ascending blade-mask order, and it
@@ -29,12 +30,21 @@ recursion limit.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .blades import Signature
 from .multivector import Multivector
 
 MAX_NESTING = 200
+
+# ASCII only: int() alone also reads "1_0", "+2" and other scripts' digits
+_DIGITS = "[0-9]+"
+_COUNT = re.compile(f"-?{_DIGITS}")
+# One group per token kind: operator, whitespace, generator index, integer
+# and any other character.  A whitespace run is its own token, so no
+# alternative rescans a run.
+_TOKEN = re.compile(rf"([-+*/()\u2212])|(\s+)|e({_DIGITS})|({_DIGITS})|(.)", re.S)
 
 
 class ExprSyntaxError(ValueError):
@@ -58,66 +68,59 @@ def parse_signature(text: str) -> tuple[Signature, tuple[int, ...]]:
             raise ValueError(
                 f"signature {text!r} must have exactly three counts p,q,z"
             )
-        # ASCII digits only: int() also reads "1_0" and other scripts' digits
-        if not all(t.isascii() and t.removeprefix("-").isdigit() for t in parts):
+        if not all(_COUNT.fullmatch(t) for t in parts):
             raise ValueError(f"signature {text!r} has non-integer counts")
         sig = Signature(*(int(t) for t in parts))
         return sig, tuple(range(sig.n))
-    roles = []
-    for ch in s:
-        if ch == "+":
-            roles.append("+")
-        elif ch in "-−":
-            roles.append("-")
-        elif ch == "0":
-            roles.append("0")
-        else:
-            raise ValueError(
-                f"cannot parse signature {text!r}: use 'p,q,z' or a role "
-                "string over +, -, 0"
-            )
+    roles = s.replace("\u2212", "-")
+    if roles.strip("+-0"):
+        raise ValueError(
+            f"cannot parse signature {text!r}: use 'p,q,z' or a role "
+            "string over +, -, 0"
+        )
     if not roles:
         raise ValueError("empty signature text")
     p = roles.count("+")
     q = roles.count("-")
     sig = Signature(p, q, len(roles) - p - q)
-    seen = {"+": 0, "-": 0, "0": 0}
-    offset = {"+": 0, "-": p, "0": p + q}
+    next_index = {"+": 0, "-": p, "0": p + q}
     perm = []
     for ch in roles:
-        perm.append(offset[ch] + seen[ch])
-        seen[ch] += 1
+        perm.append(next_index[ch])
+        next_index[ch] += 1
     return sig, tuple(perm)
 
 
+def parse_count(text: str, what: str) -> int:
+    """Parse an integer written in ASCII digits, with an optional '-'.
+
+    Surrounding whitespace is ignored; ValueError names `what` and the text.
+    """
+    s = text.strip()
+    if not _COUNT.fullmatch(s):
+        raise ValueError(f"{what} {text!r} is not an integer")
+    return int(s)
+
+
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
+    """Tokens (kind, integer value, position); U+2212 reads as '-'."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "e" and i + 1 < n and "0" <= text[i + 1] <= "9":
-            j = i + 1
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(("gen", int(text[i + 1 : j]), i))
-            i = j
-        elif "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-        elif ch in "+-*/()":
-            tokens.append((ch, 0, i))
-            i += 1
-        elif ch == "−":
-            tokens.append(("-", 0, i))
-            i += 1
+    pos = 0
+    # findall makes no match objects, so positions are summed lengths
+    for op, space, gen, num, other in _TOKEN.findall(text):
+        if op:
+            tokens.append(("-" if op == "\u2212" else op, 0, pos))
+            pos += 1
+        elif gen:
+            tokens.append(("gen", int(gen), pos))
+            pos += 1 + len(gen)
+        elif num:
+            tokens.append(("int", int(num), pos))
+            pos += len(num)
+        elif space:
+            pos += len(space)
         else:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+            raise ExprSyntaxError(f"unexpected character {other!r}", pos)
     return tokens
 
 
@@ -159,16 +162,14 @@ class _ExprParser:
     def _product(self) -> Multivector:
         value, was_rational = self._atom()
         while True:
-            if self._peek() == "*":
+            kind = self._peek()
+            if kind == "*":
                 self.i += 1
-                nxt, was_rational = self._atom()
-                value = value * nxt
-            elif self._peek() == "gen" and was_rational:
-                # coefficient touching its blade, e.g. 2e0
-                nxt, was_rational = self._atom()
-                value = value * nxt
-            else:
+            elif kind != "gen" or not was_rational:
+                # only a coefficient may touch its blade, e.g. 2e0
                 return value
+            nxt, was_rational = self._atom()
+            value = value * nxt
 
     def _atom(self) -> tuple[Multivector, bool]:
         kind = self._peek()
@@ -207,9 +208,7 @@ class _ExprParser:
         return Fraction(num)
 
     def _generator(self) -> Multivector:
-        kind, index, pos = self._next()
-        if kind != "gen":
-            raise ExprSyntaxError("expected a generator", pos)
+        _, index, pos = self._next()
         if index >= self.sig.n:
             raise IndexError(
                 f"generator index {index} out of range for signature "

@@ -130,6 +130,21 @@ class TestErrorExits:
         assert main(["chains", "-s", "1,1,1", "--k", "5"]) == 2
         capsys.readouterr()
 
+    def test_chain_length_takes_ascii_digits_only(self, capsys):
+        # int() alone would read 1_0 as 10 and the Arabic-Indic one as 1
+        for bad in ["1_0", "\u0661", "+2"]:
+            assert main(["chains", "-s", "0,0,12", "--k", bad]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: chain length {bad!r} is not an integer\n"
+        assert main(["chains", "-s", "0,0,3", "--k=--"]) == 2
+        assert capsys.readouterr().err == "error: chain length '--' is not an integer\n"
+
+    def test_negative_chain_length(self, capsys):
+        assert main(["chains", "-s", "0,0,3", "--k", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: chain length -1 must lie in 0..z = 3\n"
+        )
+
     def test_support_outside_radical(self, capsys):
         assert main(["support", "-s", "1,1,1", "--gens", "1"]) == 2
         assert "radical" in capsys.readouterr().err
@@ -146,6 +161,11 @@ def test_chains_default_direction_is_descending(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["direction"] == "descending"
     assert report["result"]["dims"] == [2, 1]
+
+
+def test_chain_length_tolerates_whitespace(capsys):
+    assert main(["chains", "-s", "0,0,3", "--k", " 2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["length"] == 2
 
 
 def test_role_string_signature_relabels(capsys):

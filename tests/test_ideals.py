@@ -26,6 +26,7 @@ from cliffideals import (
     is_split_signature,
     nil_radical,
     null_support_of_ideal,
+    parse_expression,
     prime_ideals,
     whole_algebra,
     zero_ideal,
@@ -113,6 +114,20 @@ class TestConstruction:
         ech.add((Multivector.generator(S111, 2) + Multivector.blade(S111, 0b101)).terms)
         with pytest.raises(SelfCheckError, match="forged mixed"):
             Ideal(S111, ech, "forged mixed")
+
+    def test_span_closed_on_one_side_only_is_refused(self):
+        # the left ideal A*(1+e0) of Cl(2,0,0): every row is a multi-term
+        # row, left images stay inside, but (1+e0)*e1 = e1 + e0*e1 escapes
+        sig = Signature(2, 0, 0)
+        ech = Echelon()
+        for text in ("1 + e0", "e1 - e0*e1"):
+            ech.add(parse_expression(sig, text).terms)
+        with pytest.raises(SelfCheckError) as caught:
+            Ideal(sig, ech, "forged left ideal")
+        assert str(caught.value) == (
+            "forged left ideal at signature 2,0,0: "
+            "not closed under right multiplication by e1"
+        )
 
     def test_basis_tuple_is_not_accepted(self):
         e0, e2 = Multivector.generator(S111, 0), Multivector.generator(S111, 2)
@@ -699,6 +714,15 @@ class TestGeneratingWitness:
     def test_rejects_non_radical(self):
         with pytest.raises(ValueError):
             finite_generating_witness(whole_algebra(S111))
+
+    def test_prune_pass_drops_a_generated_vector(self):
+        # the forward pass keeps e0*e2 + 1/4*e1*e3, then e0*e2*e4 (not yet
+        # generated), then e3*e4; with e3*e4 kept, the first one generates
+        # e0*e2*e4, so the prune pass must drop it
+        sig = Signature(0, 0, 5)
+        gens = [parse_expression(sig, t) for t in ("e0*e2 + 1/4*e1*e3", "e3*e4")]
+        witness = finite_generating_witness(ideal_closure(sig, gens))
+        assert witness == gens
 
     def test_closure_reproduces_ideal(self):
         rng = random.Random(53)

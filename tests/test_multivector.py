@@ -184,6 +184,29 @@ class TestNilpotencyIndex:
                 assert idx is not None and idx <= sig.z + 1
 
 
+class TestPow:
+    def test_zeroth_power_is_one(self):
+        u = Multivector(S111, {0: 2, 0b101: 3})
+        assert u ** 0 == Multivector.scalar(S111, 1)
+
+    def test_cube_is_three_products(self):
+        u = Multivector(S111, {0: 2, 0b001: -1, 0b110: Fraction(1, 3)})
+        assert u ** 3 == u * u * u
+        assert u ** 1 == u
+
+    def test_nilpotent_power_reaches_zero(self):
+        # e0*e2 + e2 squares to zero, its first power does not
+        u = Multivector(S111, {0b100: 1, 0b101: 1})
+        assert not (u ** 1).is_zero()
+        assert (u ** 2).is_zero()
+
+    def test_bad_exponents_rejected(self):
+        u = Multivector.generator(S111, 0)
+        for bad in (-1, 2.0, Fraction(1, 2)):
+            with pytest.raises(ValueError):
+                u ** bad
+
+
 class TestUnipotentInverse:
     def test_single_null(self):
         one = Multivector.scalar(S111, 1)

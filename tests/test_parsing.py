@@ -11,7 +11,7 @@ from cliffideals import (
     parse_expression,
     parse_signature,
 )
-from cliffideals.parsing import MAX_NESTING
+from cliffideals.parsing import MAX_NESTING, parse_count
 
 from helpers import random_multivector, sig_and_multivector, signatures_up_to
 
@@ -58,6 +58,22 @@ class TestParseSignature:
         assert parse_signature("+−0")[0] == S111
 
 
+class TestParseCount:
+    def test_ascii_integers(self):
+        assert parse_count("12", "count") == 12
+        assert parse_count(" 2 ", "count") == 2
+        assert parse_count("-1", "count") == -1
+        assert parse_count("007", "count") == 7
+
+    def test_junk_names_the_value(self):
+        # the same digit rule as signature counts: no "_", no "+", no
+        # other scripts' digits
+        for bad in ["", "-", "--", "1_0", "+2", "\u0661", "\u00b2", "2.0", "1 0"]:
+            with pytest.raises(ValueError) as err:
+                parse_count(bad, "chain length")
+            assert str(err.value) == f"chain length {bad!r} is not an integer"
+
+
 class TestParseExpression:
     def test_literal_sum(self):
         u = parse_expression(S111, "3 + 2*e0 + 5/2*e2")
@@ -102,6 +118,23 @@ class TestParseExpression:
             with pytest.raises(ExprSyntaxError) as err:
                 parse_expression(S111, text)
             assert err.value.position == pos
+
+    def test_denominator_errors_carry_position(self):
+        cases = [("1/", 2, "unexpected end of expression"),
+                 ("1/e0", 2, "expected an integer denominator")]
+        for text, pos, message in cases:
+            with pytest.raises(ExprSyntaxError) as err:
+                parse_expression(S111, text)
+            assert err.value.position == pos
+            assert str(err.value) == f"{message} (at position {pos})"
+
+    def test_unicode_minus_is_minus(self):
+        assert parse_expression(S111, "2 \u2212 e0") == parse_expression(S111, "2 - e0")
+
+    def test_long_whitespace_run(self):
+        # one token per whitespace run, so no rescanning of the run
+        text = "e0" + " " * 100_000
+        assert parse_expression(S111, text) == Multivector.generator(S111, 0)
 
     def test_nesting_limit(self):
         deepest = "(" * MAX_NESTING + "e0" + ")" * MAX_NESTING
