@@ -13,9 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 
 # Hard cap on p+q+z so 2**(p+q+z) blade masks stay addressable.
 GENERATOR_CAP = 16
+
+
+def int_in(value, low, high=inf) -> bool:
+    """Whether value is an int, not a bool or a float, in low..high.
+
+    The one rule for the library's integer arguments: counts, indices,
+    masks, exponents and lengths.
+    """
+    return type(value) is int and low <= value <= high
 
 
 @dataclass(frozen=True)
@@ -29,7 +39,7 @@ class Signature:
     def __post_init__(self):
         for name in ("p", "q", "z"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            if not int_in(v, 0):
                 raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
         if self.n > GENERATOR_CAP:
             raise ValueError(
@@ -69,18 +79,14 @@ class Signature:
         return range(self.p + self.q, self.n)
 
     def _check_index(self, index: int) -> None:
-        if type(index) is not int or not 0 <= index < self.n:
+        if not int_in(index, 0, self.n - 1):
             raise IndexError(
                 f"generator index {index!r} out of range for signature "
                 f"({self.p},{self.q},{self.z})"
             )
 
     def check_blade(self, mask: int) -> None:
-        if (
-            isinstance(mask, bool)
-            or not isinstance(mask, int)
-            or not 0 <= mask <= self.full_mask
-        ):
+        if not int_in(mask, 0, self.full_mask):
             raise IndexError(
                 f"blade mask {mask!r} invalid for signature "
                 f"({self.p},{self.q},{self.z})"
@@ -121,7 +127,7 @@ def blade_mul(sig: Signature, a: int, b: int) -> tuple[int, int]:
     the blades share a null generator.  Annihilated products are
     normalised to (0, 0).
     """
-    full = sig.full_mask
+    full = sig.full_mask  # int_in, spelled inline on this hot path
     if not (type(a) is int and type(b) is int and 0 <= a <= full and 0 <= b <= full):
         sig.check_blade(a)
         sig.check_blade(b)

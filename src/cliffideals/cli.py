@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Verbs: signature-info, eval, ideal classify, primes, radical, chains,
-nilpotency, support.  Every verb takes -s/--signature plus --json for a
-machine-readable report with the stable top-level keys {command,
-signature, result, elapsed_ms}.  Without --json the report is text: one
-`key: value` line per field, and a list of ideals as one `-` block per
-ideal.  Counts and expressions take ASCII digits only.  Domain errors
-exit 2 and an internal consistency failure (SelfCheckError) exits 3,
-each with a diagnostic on stderr, never a traceback.
+Each verb (signature-info, eval, ideal classify, primes, radical,
+chains, nilpotency, support) is declared once, in `_VERBS`, and both
+the parser and the dispatch are built from it.  Every verb takes
+-s/--signature plus --json for a machine-readable report with the
+stable top-level keys {command, signature, result, elapsed_ms}.
+Without --json the report is text: one `key: value` line per field, and
+a list of ideals as one `-` block per ideal.  Counts and expressions
+take ASCII digits only.  Domain errors exit 2 and an internal
+consistency failure (SelfCheckError) exits 3, each with a diagnostic on
+stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -42,81 +44,6 @@ class _Text(argparse.Action):
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values if isinstance(values, str) else "--")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "-s",
-        "--signature",
-        required=True,
-        action=_Text,
-        help="algebra signature: 'p,q,z' or a role string over +, -, 0",
-    )
-    common.add_argument(
-        "--json", action="store_true", help="emit a machine-readable report"
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="cliffideals",
-        description=(
-            "Exact ideal-structure computations in real Clifford algebras "
-            "with null generators."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser(
-        "signature-info",
-        parents=[common],
-        help="classify the algebra and print its split idempotents",
-    )
-
-    p_eval = sub.add_parser(
-        "eval", parents=[common], help="evaluate a multivector expression"
-    )
-    p_eval.add_argument("expression")
-
-    p_ideal = sub.add_parser("ideal", help="two-sided ideal analyses")
-    ideal_sub = p_ideal.add_subparsers(dest="subcommand", required=True)
-    p_classify = ideal_sub.add_parser(
-        "classify",
-        parents=[common],
-        help="classify the ideal generated by expressions",
-    )
-    p_classify.add_argument(
-        "--gens",
-        required=True,
-        action=_Text,
-        help="semicolon-separated generator expressions",
-    )
-
-    sub.add_parser("primes", parents=[common], help="list the prime ideals")
-    sub.add_parser("radical", parents=[common], help="compute the nil radical")
-
-    p_chains = sub.add_parser(
-        "chains", parents=[common], help="build strict ideal chains"
-    )
-    p_chains.add_argument("--k", required=True, action=_Text, help="chain length")
-    direction = p_chains.add_mutually_exclusive_group()
-    direction.add_argument("--ascending", action="store_true")
-    direction.add_argument("--descending", action="store_true")
-
-    p_nilp = sub.add_parser(
-        "nilpotency",
-        parents=[common],
-        help="nilpotency index of the ideal generated by expressions",
-    )
-    p_nilp.add_argument("--gens", required=True, action=_Text)
-
-    p_support = sub.add_parser(
-        "support",
-        parents=[common],
-        help="null-generator support of a radical ideal",
-    )
-    p_support.add_argument("--gens", required=True, action=_Text)
-
-    return parser
 
 
 def _parse_gens(sig, text: str) -> tuple:
@@ -209,29 +136,89 @@ def _run_support(sig, args) -> dict:
     }
 
 
-_HANDLERS = {
-    "signature-info": _run_signature_info,
-    "eval": _run_eval,
-    "ideal classify": _run_classify,
-    "primes": _run_primes,
-    "radical": _run_radical,
-    "chains": _run_chains,
-    "nilpotency": _run_nilpotency,
-    "support": _run_support,
+_GENS = ("--gens", {
+    "required": True,
+    "action": _Text,
+    "help": "semicolon-separated generator expressions",
+})
+
+# Each verb once: verb -> (handler, help, arguments).  An argument is
+# (flag, options); a nested list of them is a mutually exclusive group.
+# A two-word verb is a subcommand of the group named by its first word.
+_VERBS = {
+    "signature-info": (
+        _run_signature_info, "classify the algebra and print its split idempotents", []
+    ),
+    "eval": (_run_eval, "evaluate a multivector expression", [("expression", {})]),
+    "ideal classify": (
+        _run_classify, "classify the ideal generated by expressions", [_GENS]
+    ),
+    "primes": (_run_primes, "list the prime ideals", []),
+    "radical": (_run_radical, "compute the nil radical", []),
+    "chains": (_run_chains, "build strict ideal chains", [
+        ("--k", {"required": True, "action": _Text, "help": "chain length"}),
+        [("--ascending", {"action": "store_true"}),
+         ("--descending", {"action": "store_true"})],
+    ]),
+    "nilpotency": (
+        _run_nilpotency,
+        "nilpotency index of the ideal generated by expressions",
+        [_GENS],
+    ),
+    "support": (_run_support, "null-generator support of a radical ideal", [_GENS]),
 }
+_GROUPS = {"ideal": "two-sided ideal analyses"}
+
+
+def _add_arguments(parser, arguments) -> None:
+    for argument in arguments:
+        if isinstance(argument, list):
+            _add_arguments(parser.add_mutually_exclusive_group(), argument)
+        else:
+            flag, options = argument
+            parser.add_argument(flag, **options)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "-s",
+        "--signature",
+        required=True,
+        action=_Text,
+        help="algebra signature: 'p,q,z' or a role string over +, -, 0",
+    )
+    common.add_argument(
+        "--json", action="store_true", help="emit a machine-readable report"
+    )
+
+    parser = argparse.ArgumentParser(
+        prog="cliffideals",
+        description=(
+            "Exact ideal-structure computations in real Clifford algebras "
+            "with null generators."
+        ),
+    )
+    subs = {"": parser.add_subparsers(dest="command", required=True)}
+    for verb, (_, help_text, arguments) in _VERBS.items():
+        group, _, name = verb.rpartition(" ")
+        if group not in subs:
+            p_group = subs[""].add_parser(group, help=_GROUPS[group])
+            subs[group] = p_group.add_subparsers(dest="subcommand", required=True)
+        p_verb = subs[group].add_parser(name, parents=[common], help=help_text)
+        _add_arguments(p_verb, arguments)
+        p_verb.set_defaults(verb=verb)
+    return parser
 
 
 def run(args: argparse.Namespace) -> dict:
     """Dispatch parsed arguments to the library and build the report."""
-    command = args.command
-    if getattr(args, "subcommand", None):
-        command = f"{command} {args.subcommand}"
     sig, _ = parse_signature(args.signature)
     start = time.perf_counter()
-    result = _HANDLERS[command](sig, args)
+    result = _VERBS[args.verb][0](sig, args)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return {
-        "command": command,
+        "command": args.verb,
         "signature": str(sig),
         "result": result,
         "elapsed_ms": round(elapsed_ms, 3),

@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations
 
-from .blades import Signature, blade_mul, blade_str
+from .blades import Signature, blade_mul, blade_str, int_in
 from .core import CoreSplit
 from .linalg import Echelon, intersect_spans
 from .multivector import Multivector, SignatureMismatchError, _check_same_sig
@@ -326,11 +326,12 @@ def ideal_from_null_set(sig: Signature, null_indices) -> Ideal:
     set S, written by `_blade_span_ideal` with no saturation: each row
     e_X is +-e_(X minus k) * e_k for the lowest k in X & S.
     """
-    idx = sorted(set(null_indices))
+    idx = list(null_indices)
     for i in idx:
-        if i not in sig.null_indices():
-            raise ValueError(f"generator e{i} is not a null generator of {sig}")
-    return _blade_span_ideal(sig, [1 << i for i in idx], "ideal_from_null_set")
+        if not int_in(i, sig.p + sig.q, sig.n - 1):
+            raise ValueError(f"generator index {i!r} is not a null generator of {sig}")
+    masks = [1 << i for i in sorted(set(idx))]
+    return _blade_span_ideal(sig, masks, "ideal_from_null_set")
 
 
 def nil_radical(sig: Signature) -> Ideal:
@@ -364,7 +365,7 @@ def _component_rows(sig: Signature, idempotent: Multivector) -> list[dict]:
 
 def component_ideal(sig: Signature, which: int) -> Ideal:
     """The ideal generated by one of the two split idempotents (which in {1, 2})."""
-    if which not in (1, 2):
+    if not int_in(which, 1, 2):
         raise ValueError(f"component must be 1 or 2, got {which!r}")
     return ideal_closure(sig, [central_idempotents(sig)[which - 1]])
 
@@ -562,8 +563,8 @@ def descending_chain(sig: Signature, k: int) -> list[Ideal]:
     saturation: each row e_X is +-e_(X minus S) * f_S.  Strictness of
     every inclusion is verified.
     """
-    if k < 0 or k > sig.z:
-        raise ValueError(f"chain length {k} must lie in 0..z = {sig.z}")
+    if not int_in(k, 0, sig.z):
+        raise ValueError(f"chain length {k!r} must lie in 0..z = {sig.z}")
     nulls = list(sig.null_indices())
     chain = []
     mask = 0
@@ -578,8 +579,8 @@ def descending_chain(sig: Signature, k: int) -> list[Ideal]:
 
 def ascending_chain(sig: Signature, k: int) -> list[Ideal]:
     """Strictly growing ideals generated by growing sets of null generators."""
-    if k < 0 or k > sig.z:
-        raise ValueError(f"chain length {k} must lie in 0..z = {sig.z}")
+    if not int_in(k, 0, sig.z):
+        raise ValueError(f"chain length {k!r} must lie in 0..z = {sig.z}")
     nulls = list(sig.null_indices())
     chain = [ideal_from_null_set(sig, nulls[: i + 1]) for i in range(k)]
     for small, big in zip(chain, chain[1:]):

@@ -4,7 +4,9 @@ A multivector is a finite linear combination of basis blades with
 Fraction coefficients, stored as a mask -> Fraction map with no zero
 entries.  All arithmetic is exact, so every algebraic identity in the
 test suite is an equality, not an approximation.  Values are immutable
-after construction.
+after construction.  Coefficients must be `numbers.Rational`, as in the
+ring operations: a float or a string is a TypeError, never a rounded or
+parsed value.
 
 Coefficients are Fractions at the API only.  A product works over
 integer numerators: each operand is scaled by the lcm of its
@@ -22,7 +24,7 @@ from math import lcm
 from numbers import Rational
 from types import MappingProxyType
 
-from .blades import Signature, blade_str, sign_mask
+from .blades import Signature, blade_str, int_in, sign_mask
 
 
 class SignatureMismatchError(ValueError):
@@ -53,6 +55,8 @@ class Multivector:
         if terms:
             for mask, coeff in terms.items():
                 sig.check_blade(mask)
+                if not isinstance(coeff, Rational):
+                    raise TypeError(f"coefficient {coeff!r} is not a rational number")
                 c = Fraction(coeff)
                 if c:
                     clean[mask] = c
@@ -77,16 +81,16 @@ class Multivector:
 
     @classmethod
     def scalar(cls, sig: Signature, value) -> "Multivector":
-        return cls(sig, {0: Fraction(value)})
+        return cls(sig, {0: value})
 
     @classmethod
     def blade(cls, sig: Signature, mask: int, coeff=1) -> "Multivector":
-        return cls(sig, {mask: Fraction(coeff)})
+        return cls(sig, {mask: coeff})
 
     @classmethod
     def generator(cls, sig: Signature, index: int) -> "Multivector":
         sig._check_index(index)
-        return cls(sig, {1 << index: Fraction(1)})
+        return cls(sig, {1 << index: 1})
 
     # -- inspection ---------------------------------------------------
 
@@ -197,8 +201,10 @@ class Multivector:
         return NotImplemented
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only non-negative integer powers are defined")
+        if not int_in(exponent, 0):
+            raise ValueError(
+                f"only non-negative integer powers are defined, got {exponent!r}"
+            )
         acc = Multivector.scalar(self.sig, 1)
         for _ in range(exponent):
             acc = acc * self
@@ -238,7 +244,7 @@ class Multivector:
 
         The radical grading starts at 1; use radical_split for the body.
         """
-        if not isinstance(i, int) or i < 1:
+        if not int_in(i, 1):
             raise ValueError(f"radical grade must be a positive integer, got {i!r}")
         nm = self.sig.null_mask
         picked = {m: c for m, c in self._terms.items() if (m & nm).bit_count() == i}

@@ -13,7 +13,8 @@ Expression grammar (whitespace-insensitive):
     rational := INT ('/' INT)?
 
 INT, the index of GEN (`e<index>`), the signature counts and any other
-count read from text (`parse_count`) are runs of the ASCII digits 0-9.
+count read from text (`parse_count`) are runs of the ASCII digits 0-9,
+at most MAX_DIGITS long.
 
 The canonical printed form of a multivector is the flat sum
 `c*<blade> +- ...` with the terms in ascending blade-mask order, and it
@@ -37,6 +38,9 @@ from .blades import Signature
 from .multivector import Multivector
 
 MAX_NESTING = 200
+# Python's default int_max_str_digits: int() refuses a longer run with no
+# position and a pointer to a Python setting, so `_int` refuses it first
+MAX_DIGITS = 4300
 
 # ASCII only: int() alone also reads "1_0", "+2" and other scripts' digits
 _DIGITS = "[0-9]+"
@@ -70,7 +74,7 @@ def parse_signature(text: str) -> tuple[Signature, tuple[int, ...]]:
             )
         if not all(_COUNT.fullmatch(t) for t in parts):
             raise ValueError(f"signature {text!r} has non-integer counts")
-        sig = Signature(*(int(t) for t in parts))
+        sig = Signature(*(_int(t, "signature count") for t in parts))
         return sig, tuple(range(sig.n))
     roles = s.replace("\u2212", "-")
     if roles.strip("+-0"):
@@ -99,7 +103,21 @@ def parse_count(text: str, what: str) -> int:
     s = text.strip()
     if not _COUNT.fullmatch(s):
         raise ValueError(f"{what} {text!r} is not an integer")
-    return int(s)
+    return _int(s, what)
+
+
+def _int(run: str, what: str, position: int | None = None) -> int:
+    """The value of a run of ASCII digits with an optional '-'.
+
+    A run longer than MAX_DIGITS is an ExprSyntaxError at `position` in
+    an expression, and a ValueError naming `what` anywhere else.
+    """
+    if len(run) - run.startswith("-") > MAX_DIGITS:
+        message = f"{what} has more than {MAX_DIGITS} digits"
+        if position is None:
+            raise ValueError(message)
+        raise ExprSyntaxError(message, position)
+    return int(run)
 
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
@@ -112,10 +130,10 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
             tokens.append(("-" if op == "\u2212" else op, 0, pos))
             pos += 1
         elif gen:
-            tokens.append(("gen", int(gen), pos))
+            tokens.append(("gen", _int(gen, "generator index", pos + 1), pos))
             pos += 1 + len(gen)
         elif num:
-            tokens.append(("int", int(num), pos))
+            tokens.append(("int", _int(num, "integer", pos), pos))
             pos += len(num)
         elif space:
             pos += len(space)

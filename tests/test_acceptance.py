@@ -214,6 +214,7 @@ def test_criterion_3_principal_ideal_classification():
         per_sig = len(records) // len(CLASSIFY_SIGNATURES)
         assert per_sig >= RANDOM_PRINCIPALS_PER_SIGNATURE + 2
         component_seen = 0
+        primes = {sig: prime_ideals(sig) for sig in CLASSIFY_SIGNATURES}
         for sig, _, ideal, report in records:
             split = is_split_signature(sig)
             dims = report.dims
@@ -231,6 +232,12 @@ def test_criterion_3_principal_ideal_classification():
                 half = (1 << (sig.p + sig.q)) // 2
                 assert dims[0] == half + dims[1]
                 assert ideal.contains_ideal(report.radical_intersection)
+                # p+q is odd, so each null e_k = e_k*e + e*e_k lies in any
+                # ideal that holds the idempotent e: the ideal is the prime
+                # (e) and its radical part is the whole radical
+                first = report.verdict is IdealVerdict.COMPONENT1_PLUS_RADICAL_PART
+                assert ideal == primes[sig][0 if first else 1]
+                assert report.radical_intersection == nil_radical(sig)
         assert component_seen > 0
 
 

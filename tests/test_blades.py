@@ -50,7 +50,7 @@ class TestSignature:
     def test_bool_counts_rejected(self):
         # True == 1, but the signature would print as "True,0,1" in reports
         # and SelfCheckError messages
-        for counts in ((True, 0, 1), (0, False, 1), (1, 0, True)):
+        for counts in ((True, 0, 1), (0, False, 1), (1, 0, True), (1.0, 0, 1)):
             with pytest.raises(ValueError):
                 Signature(*counts)
 

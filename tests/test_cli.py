@@ -9,7 +9,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from cliffideals.cli import build_parser, main, run
 
@@ -139,6 +139,20 @@ class TestErrorExits:
         assert main(["chains", "-s", "0,0,3", "--k=--"]) == 2
         assert capsys.readouterr().err == "error: chain length '--' is not an integer\n"
 
+    def test_digit_runs_past_the_limit(self, capsys):
+        ones = "1" * 5000
+        cases = [
+            (["eval", "-s", "1,1,1", ones], "integer has more than 4300 digits"
+             " (at position 0)"),
+            (["chains", "-s", "0,0,3", "--k", ones],
+             "chain length has more than 4300 digits"),
+            (["radical", "-s", f"{ones},0,0"],
+             "signature count has more than 4300 digits"),
+        ]
+        for argv, message in cases:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_negative_chain_length(self, capsys):
         assert main(["chains", "-s", "0,0,3", "--k", "-1"]) == 2
         assert capsys.readouterr().err == (
@@ -203,6 +217,8 @@ _VERBS = [
 _TOKENS = ["e0", "e1", "e2", "e7", "e", "1", "2", "1/2", "3/0",
            "+", "-", "*", "/", "(", ")", ";", " ", "x"]
 _BAD_SIGNATURES = ["", "1,1", "-1,0,1", "a,b,c", "1,1,1,1", "+x", "17,0,0"]
+_BAD_COUNTS = ["1_0", "+2", "--", "\u0661", "\u00b2", "2.0", "1" * 5000,
+               *_BAD_SIGNATURES]
 
 
 @st.composite
@@ -242,7 +258,8 @@ def _argv(draw):
         gens = draw(st.lists(_expression_text(n), min_size=1, max_size=2))
         argv += ["--gens", "; ".join(gens)]
     elif verb == ["chains"]:
-        argv += ["--k", str(draw(st.integers(-1, 6)))]
+        k = st.one_of(st.integers(-1, 6).map(str), st.sampled_from(_BAD_COUNTS))
+        argv += ["--k", draw(k)]
         argv += draw(st.sampled_from([[], ["--ascending"], ["--descending"]]))
     if draw(st.booleans()):
         argv.append("--json")
@@ -251,9 +268,11 @@ def _argv(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_argv())
+@example(["chains", "-s", "0,0,3", "--k", "1" * 5000])
 def test_fuzzed_argv_exits_cleanly(argv):
     # every verb on small signatures, short expressions and malformed
-    # text: an exit code of 0, 2 or 3 and never a traceback
+    # text: an exit code of 0, 2 or 3, never a traceback, and no
+    # diagnostic that points at a Python setting
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -262,6 +281,7 @@ def test_fuzzed_argv_exits_cleanly(argv):
             code = exc.code
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert "int_max_str_digits" not in err.getvalue()
 
 
 def test_closed_stdout_exits_cleanly():

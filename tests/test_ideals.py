@@ -310,7 +310,8 @@ class TestClassify:
 
     def test_component_ideal_refuses_other_indices(self):
         sig = Signature(1, 0, 1)
-        for which in (0, 3):
+        # True and 1.0 equal 1, but name no component
+        for which in (0, 3, True, 1.0, 2.0):
             with pytest.raises(ValueError, match="component must be 1 or 2"):
                 component_ideal(sig, which)
 
@@ -519,6 +520,14 @@ class TestIdealFromNullSet:
     def test_non_null_index_rejected(self):
         with pytest.raises(ValueError):
             ideal_from_null_set(S111, [0])
+        # True == 1 and 1.0 == 1 are not the null generator e1
+        sig = Signature(1, 0, 3)
+        for bad in (True, 1.0, 2.5):
+            with pytest.raises(ValueError) as err:
+                ideal_from_null_set(sig, [2, bad])
+            assert str(err.value) == (
+                f"generator index {bad!r} is not a null generator of 1,0,3"
+            )
 
 
 class TestNullSupport:
@@ -586,6 +595,13 @@ class TestChains:
             descending_chain(S111, 2)
         with pytest.raises(ValueError):
             ascending_chain(S111, 2)
+        # a bool or float length is refused even where its value is in range
+        sig = Signature(1, 0, 3)
+        for bad in (True, 1.0, 2.0):
+            for build in (descending_chain, ascending_chain):
+                with pytest.raises(ValueError) as err:
+                    build(sig, bad)
+                assert str(err.value) == f"chain length {bad!r} must lie in 0..z = 3"
 
 
 class TestBladeSpanIdeals:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -34,6 +35,20 @@ class TestAdd:
     def test_signature_mismatch(self):
         with pytest.raises(SignatureMismatchError):
             Multivector.scalar(S111, 1) + Multivector.scalar(Signature(1, 0, 0), 1)
+
+    def test_coefficients_must_be_rational(self):
+        # as in x + 0.5: no rounding of 0.1 to 3602879701896397/2**55 and
+        # no parsing of "1/2"
+        for bad in (0.1, 0.5, "1/2", "1"):
+            with pytest.raises(TypeError, match=f"coefficient {bad!r}"):
+                Multivector.scalar(S111, bad)
+            with pytest.raises(TypeError):
+                Multivector.blade(S111, 0b101, bad)
+            with pytest.raises(TypeError):
+                Multivector(S111, {0b001: bad})
+            with pytest.raises(TypeError):
+                Multivector.scalar(S111, 1) + bad
+        assert Multivector.scalar(S111, Fraction(1, 2)).terms == {0: Fraction(1, 2)}
 
 
 class TestMul:
@@ -137,8 +152,10 @@ class TestRadicalGradeComponent:
         assert self.u().radical_grade_component(3) == Multivector.zero(self.SIG)
 
     def test_zero_grade_rejected(self):
-        with pytest.raises(ValueError):
-            self.u().radical_grade_component(0)
+        # True == 1 and 1.0 == 1, but neither is a grade
+        for bad in (0, True, 1.0):
+            with pytest.raises(ValueError, match=f"got {bad!r}"):
+                self.u().radical_grade_component(bad)
 
     def test_components_recover_u(self):
         rng = random.Random(7)
@@ -202,8 +219,8 @@ class TestPow:
 
     def test_bad_exponents_rejected(self):
         u = Multivector.generator(S111, 0)
-        for bad in (-1, 2.0, Fraction(1, 2)):
-            with pytest.raises(ValueError):
+        for bad in (-1, 2.0, Fraction(1, 2), True, False, 1.0):
+            with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
                 u ** bad
 
 

@@ -57,6 +57,12 @@ class TestParseSignature:
     def test_unicode_minus(self):
         assert parse_signature("+−0")[0] == S111
 
+    def test_digit_run_past_the_limit(self):
+        # int() alone would point at sys.set_int_max_str_digits()
+        with pytest.raises(ValueError) as err:
+            parse_signature("1" * 5000 + ",0,0")
+        assert str(err.value) == "signature count has more than 4300 digits"
+
 
 class TestParseCount:
     def test_ascii_integers(self):
@@ -72,6 +78,14 @@ class TestParseCount:
             with pytest.raises(ValueError) as err:
                 parse_count(bad, "chain length")
             assert str(err.value) == f"chain length {bad!r} is not an integer"
+
+    def test_digit_run_limit(self):
+        assert parse_count("0" * 4299 + "7", "chain length") == 7
+        assert parse_count("-" + "0" * 4300, "chain length") == 0
+        for bad in ["1" * 4301, "-" + "1" * 5000]:
+            with pytest.raises(ValueError) as err:
+                parse_count(bad, "chain length")
+            assert str(err.value) == "chain length has more than 4300 digits"
 
 
 class TestParseExpression:
@@ -154,6 +168,20 @@ class TestParseExpression:
     def test_multi_digit_index(self):
         sig = Signature(13, 0, 0)
         assert parse_expression(sig, "e12") == Multivector.generator(sig, 12)
+
+    def test_digit_runs_past_the_limit_carry_position(self):
+        # a run of exactly MAX_DIGITS still parses
+        assert parse_expression(S111, "0" * 4299 + "3") == Multivector.scalar(S111, 3)
+        cases = [("0" * 4400 + "1", 0, "integer"),
+                 ("2 + 1/" + "1" * 4301, 6, "integer"),
+                 ("e0*e" + "0" * 4301, 4, "generator index")]
+        for text, pos, what in cases:
+            with pytest.raises(ExprSyntaxError) as err:
+                parse_expression(S111, text)
+            assert err.value.position == pos
+            assert str(err.value) == (
+                f"{what} has more than 4300 digits (at position {pos})"
+            )
 
 
 class TestRoundTrip:
